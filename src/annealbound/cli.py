@@ -64,6 +64,11 @@ def _time_grid(spec: dict, schedule: Schedule) -> np.ndarray:
     raise ConfigError(f"unknown t_grid spacing {spacing!r}")
 
 
+def _t_max_k(args) -> float:
+    """--t-max-k, or the horizon constant K = 10 when the flag is not given."""
+    return 10.0 if args.t_max_k is None else args.t_max_k
+
+
 def _schedule_from(data: dict) -> Schedule:
     return Schedule.from_json(data["schedule"] if "schedule" in data else data)
 
@@ -116,7 +121,7 @@ def cmd_evolve(args) -> int:
     if integ_data.get("max_time") is None:
         if schedule.delta == 0:
             raise ConfigError("integrator.max_time required when delta = 0")
-        integ_data = dict(integ_data, max_time=args.t_max_k / schedule.delta)
+        integ_data = dict(integ_data, max_time=_t_max_k(args) / schedule.delta)
     config = IntegratorConfig(**integ_data)
     record = evolve(problem, schedule, config)
     os.makedirs(args.out, exist_ok=True)
@@ -145,7 +150,7 @@ def cmd_bound(args) -> int:
         gap_mode=args.gap_mode or data.get("gap_mode", "measured"),
         quadrature_points=data.get("quadrature_points", 1000),
         l=data.get("l", 0.5),
-        t_max_k=args.t_max_k,
+        t_max_k=_t_max_k(args),
         tails=data.get("tails", True),
     )
     os.makedirs(args.out, exist_ok=True)
@@ -265,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the gap model used in bound integrands",
         )
         p.add_argument(
-            "--t-max-k", type=float, default=10.0,
-            help="horizon T_max = K/delta when max_time is not set",
+            "--t-max-k", type=float, default=None,
+            help="horizon T_max = K/delta when max_time is not set "
+            "(overrides the config's t_max_k; default 10)",
         )
         p.set_defaults(func=fn)
     return parser

@@ -1,11 +1,26 @@
 """Schrodinger evolution i dpsi/dt = H(t) psi from the ground state of H(0).
 
-Each step applies exp(-i H(t_mid) dt) through a Chebyshev expansion of the
-matrix exponential on a fixed spectral envelope, so every step is unitary to
-machine precision by construction and the scheme is globally second order in
-dt (midpoint sampling of the time dependence is the only approximation).
-Long horizons T ~ 1/delta make structural norm preservation the binding
-requirement; step count only sets phase accuracy.
+Every step applies the midpoint propagator exp(-i H(t_mid) dt), so each step
+is unitary to machine precision by construction and the scheme is globally
+second order in dt (midpoint sampling of the time dependence is the only
+approximation). Long horizons T ~ 1/delta make structural norm preservation
+the binding requirement; step count only sets phase accuracy.
+
+Two regimes apply the same propagator, chosen by size:
+
+- n_spins <= DENSE_MAX_SPINS: exactly, through one dense real-symmetric
+  eigendecomposition per step (LAPACK dsyevd), psi <- V e^{-iw dt} V^T psi.
+  Record-point ground states come from the same LAPACK routine. At these
+  dimensions a Chebyshev step's cost is the Python overhead of its ~22
+  matrix-free H applies, and one small eigendecomposition is cheaper.
+- larger n_spins: a Chebyshev expansion of the exponential on a fixed
+  spectral envelope (Tal-Ezer & Kosloff 1984), built from matrix-free H
+  applies, with record-point ground states from `diagonalize`.
+
+The crossover was measured with one OpenBLAS thread on a 2-vCPU Xeon VM,
+timing 4000 steps of the full evolve: dense wins through N = 5 (1.2 s
+against 2.1 s) and its O(8^N) eigendecomposition loses from N = 6 on
+(3.4 s against 3.0 s).
 """
 
 from __future__ import annotations
@@ -20,10 +35,21 @@ from .errors import ValidationError
 from .ising import DiagonalIsing, IsingProblem, apply_hamiltonian, build_diagonal
 from .provenance import pair_hash
 from .schedule import Schedule
-from .spectrum import check_ising_nondegenerate, diagonalize
+from .spectrum import (
+    check_ising_nondegenerate,
+    dense_ground_state,
+    dense_hamiltonian,
+    diagonalize,
+    eigh_dense,
+)
 
 TARGET_RECORDS = 1000
 COEFF_TOL = 1e-16
+# Largest n_spins propagated by dense eigendecomposition (measured crossover).
+DENSE_MAX_SPINS = 5
+# Steps whose Hamiltonians are built at once on the dense path; small enough
+# that the stack adds no measurable resident memory.
+DENSE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -64,6 +90,8 @@ class TrajectoryRecord:
     final_state: np.ndarray = field(repr=False)
     n_steps: int
     dt: float
+    propagator: str
+    h_applies: int
     failed: bool
     failure_time: float | None
     failure_reason: str | None
@@ -83,7 +111,11 @@ def initial_state(problem: IsingProblem, schedule: Schedule) -> np.ndarray:
         raise ValidationError(f"Gamma(0) must be positive, got {gamma0}")
     diag = build_diagonal(problem)
     check_ising_nondegenerate(diag)
-    return diagonalize(diag, gamma0).ground_state.astype(complex)
+    if diag.n_spins <= DENSE_MAX_SPINS:
+        ground = dense_ground_state(dense_hamiltonian(diag, gamma0), gamma0)
+    else:
+        ground = diagonalize(diag, gamma0).ground_state
+    return ground.astype(complex)
 
 
 def _auto_dt(schedule: Schedule, t_max: float) -> float:
@@ -137,17 +169,36 @@ def _chebyshev_step(
     return phase * out
 
 
+def _chebyshev_steps(
+    diag: DiagonalIsing, schedule: Schedule, psi: np.ndarray, n_steps: int,
+    dt: float, coeffs: np.ndarray, inv_a: float, b: float, phase: complex,
+):
+    for step in range(n_steps):
+        psi = _chebyshev_step(
+            diag, schedule.gamma((step + 0.5) * dt), psi, coeffs, inv_a, b, phase
+        )
+        yield psi
+
+
+def _dense_steps(
+    h0: np.ndarray, driver: np.ndarray, schedule: Schedule, psi: np.ndarray,
+    n_steps: int, dt: float,
+):
+    for start in range(0, n_steps, DENSE_CHUNK):
+        t_mid = (np.arange(start, min(start + DENSE_CHUNK, n_steps)) + 0.5) * dt
+        for h in h0 - schedule.gamma(t_mid)[:, None, None] * driver:
+            w, v = eigh_dense(h)
+            psi = v @ (np.exp(-1j * dt * w) * (v.T @ psi))
+            yield psi
+
+
 def evolve(
     problem: IsingProblem, schedule: Schedule, config: IntegratorConfig
 ) -> TrajectoryRecord:
     """Propagate from the ground state of H(0) to max_time, recording overlap
     with the freshly diagonalized instantaneous ground state at record points."""
+    psi = initial_state(problem, schedule)
     diag = build_diagonal(problem)
-    check_ising_nondegenerate(diag)
-    gamma0 = schedule.gamma(0.0)
-    if not (gamma0 > 0):
-        raise ValidationError(f"Gamma(0) must be positive, got {gamma0}")
-    psi = diagonalize(diag, gamma0).ground_state.astype(complex)
 
     t_max = config.max_time
     dt = config.dt if config.dt is not None else _auto_dt(schedule, t_max)
@@ -155,32 +206,48 @@ def evolve(
     dt = t_max / n_steps
     stride = config.record_stride or max(1, n_steps // TARGET_RECORDS)
 
-    # Spectral envelope over the whole run; Gamma need not be monotone, so
-    # sample it densely instead of trusting Gamma(0) to dominate.
-    probe = np.linspace(0.0, t_max, 4097)
-    gam_hi = float(np.max(schedule.gamma(probe))) * (1.0 + 1e-9)
-    n = diag.n_spins
-    e_lo = float(np.min(diag.energies)) - n * gam_hi
-    e_hi = float(np.max(diag.energies)) + n * gam_hi
-    a = 0.5 * (e_hi - e_lo) + 1e-300
-    b = 0.5 * (e_hi + e_lo)
-    coeffs = _chebyshev_coefficients(a * dt)
-    phase = complex(np.exp(-1j * b * dt))
+    if diag.n_spins <= DENSE_MAX_SPINS:
+        # H(Gamma) = h0 - Gamma * driver reproduces dense_hamiltonian bit for bit.
+        h0 = dense_hamiltonian(diag, 0.0)
+        driver = h0 - dense_hamiltonian(diag, 1.0)
+
+        def ground(gam: float) -> np.ndarray:
+            return dense_ground_state(h0 - gam * driver, gam)
+
+        propagator, h_applies = "dense", 0
+        steps = _dense_steps(h0, driver, schedule, psi, n_steps, dt)
+    else:
+
+        def ground(gam: float) -> np.ndarray:
+            return diagonalize(diag, gam).ground_state
+
+        # Spectral envelope over the whole run; Gamma need not be monotone,
+        # so sample it densely instead of trusting Gamma(0) to dominate.
+        probe = np.linspace(0.0, t_max, 4097)
+        gam_hi = float(np.max(schedule.gamma(probe))) * (1.0 + 1e-9)
+        n = diag.n_spins
+        e_lo = float(np.min(diag.energies)) - n * gam_hi
+        e_hi = float(np.max(diag.energies)) + n * gam_hi
+        a = 0.5 * (e_hi - e_lo) + 1e-300
+        b = 0.5 * (e_hi + e_lo)
+        coeffs = _chebyshev_coefficients(a * dt)
+        phase = complex(np.exp(-1j * b * dt))
+        propagator, h_applies = "chebyshev", n_steps * (coeffs.size - 1)
+        steps = _chebyshev_steps(diag, schedule, psi, n_steps, dt, coeffs, 1.0 / a, b, phase)
 
     times, gams, overlaps, excs, drifts = [], [], [], [], []
     failed = False
     failure_time: float | None = None
     failure_reason: str | None = None
 
-    def record(t: float) -> None:
+    def record(t: float, psi: np.ndarray) -> None:
         nonlocal failed, failure_time, failure_reason
         if not np.all(np.isfinite(psi)):
             raise RuntimeError(f"non-finite amplitude at t={t:g}")
         gam = schedule.gamma(t)
-        ground = diagonalize(diag, gam, want_vector=True).ground_state
         nrm = float(np.linalg.norm(psi))
         drift = abs(nrm - 1.0)
-        ov = abs(np.vdot(ground, psi / nrm)) ** 2
+        ov = abs(np.vdot(ground(gam), psi / nrm)) ** 2
         times.append(t)
         gams.append(gam)
         overlaps.append(ov)
@@ -191,14 +258,10 @@ def evolve(
             failure_time = t
             failure_reason = f"norm drift {drift:.3e} exceeds tolerance at t={t:g}"
 
-    record(0.0)
-    for step in range(n_steps):
-        t_mid = (step + 0.5) * dt
-        psi = _chebyshev_step(
-            diag, schedule.gamma(t_mid), psi, coeffs, 1.0 / a, b, phase
-        )
+    record(0.0, psi)
+    for step, psi in enumerate(steps):
         if (step + 1) % stride == 0 or step == n_steps - 1:
-            record((step + 1) * dt)
+            record((step + 1) * dt, psi)
 
     return TrajectoryRecord(
         times=np.asarray(times),
@@ -210,6 +273,8 @@ def evolve(
         final_state=psi,
         n_steps=n_steps,
         dt=dt,
+        propagator=propagator,
+        h_applies=h_applies,
         failed=failed,
         failure_time=failure_time,
         failure_reason=failure_reason,
@@ -243,6 +308,8 @@ def trajectory_sidecar(
         "provenance": record.provenance,
         "n_steps": record.n_steps,
         "dt": record.dt,
+        "propagator": record.propagator,
+        "h_applies": record.h_applies,
         "final_excitation": record.final_excitation,
         "failed": record.failed,
         "failure_time": record.failure_time,

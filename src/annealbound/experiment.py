@@ -212,9 +212,12 @@ class ExperimentConfig:
         t_max_k_override: float | None = None,
     ) -> list[RunSpec]:
         raw = self.raw
-        gap_mode = gap_mode_override or raw.get("gap_mode", "measured")
+        gap_mode = (
+            gap_mode_override if gap_mode_override is not None
+            else raw.get("gap_mode", "measured")
+        )
         tails = raw.get("tails", True)
-        t_max_k = t_max_k_override or raw.get("t_max_k", 10.0)
+        t_max_k = t_max_k_override if t_max_k_override is not None else raw.get("t_max_k", 10.0)
         quad_points = raw.get("quadrature_points", 1000)
         cert_cfg = raw.get("certify", {})
         integ_base = {

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsyevd
 from scipy.optimize import minimize_scalar
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -114,15 +115,41 @@ def diagonalize(
 
     eps0, eps1 = float(vals[0]), float(vals[1])
     gap = eps1 - eps0
-    if gamma_value > 0 and gap < DEGENERACY_TOL:
-        raise GapAnomalyError(
-            f"gap {gap:.3e} below degeneracy tolerance at Gamma={gamma_value:g} > 0"
-        )
+    _check_gap(gap, gamma_value)
     ground = _fix_phase(vecs[:, 0]) if want_vector else None
     return SpectrumSnapshot(
         t=float(t), gamma_value=float(gamma_value), eps0=eps0, eps1=eps1,
         gap=gap, ground_state=ground, eigenvalues=np.asarray(vals, dtype=float),
     )
+
+
+def _check_gap(gap: float, gamma_value: float) -> None:
+    if gamma_value > 0 and gap < DEGENERACY_TOL:
+        raise GapAnomalyError(
+            f"gap {gap:.3e} below degeneracy tolerance at Gamma={gamma_value:g} > 0"
+        )
+
+
+def eigh_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a real symmetric C-ordered matrix, ascending, from
+    one direct LAPACK dsyevd call; h is overwritten.
+
+    Skips scipy.linalg.eigh's argument checks and driver dispatch, which on
+    the smallest matrices cost more than the decomposition itself.
+    """
+    # h.T is the same symmetric matrix in Fortran order, so LAPACK works in place.
+    w, v, info = dsyevd(h.T, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    return w, v
+
+
+def dense_ground_state(h: np.ndarray, gamma_value: float) -> np.ndarray:
+    """Ground vector of the dense h = H(Gamma) through eigh_dense (h is
+    overwritten), with diagonalize's gap check and phase convention."""
+    w, v = eigh_dense(h)
+    _check_gap(w[1] - w[0], gamma_value)
+    return _fix_phase(v[:, 0])
 
 
 def check_ising_nondegenerate(diag: DiagonalIsing, tol: float = DEGENERACY_TOL) -> None:

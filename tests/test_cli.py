@@ -115,6 +115,27 @@ def test_run_full_pipeline(tmp_path, capsys, problem_json):
     assert manifest["all_ok"] and manifest["n_runs"] == 1
 
 
+def test_run_config_t_max_k_wins_unless_flag_given(tmp_path, problem_json):
+    cfg = _write(
+        tmp_path,
+        "run.json",
+        {
+            "problem": {"inline": problem_json},
+            "schedule": _schedule_json(delta=0.1),
+            "t_max_k": 3.0,
+        },
+    )
+
+    def max_time(out_dir, *flags):
+        assert main(["run", "--config", cfg, "--out", str(out_dir), *flags]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        side = out_dir / manifest["runs"][0]["dir"] / "trajectory.json"
+        return json.loads(side.read_text())["integrator"]["max_time"]
+
+    assert max_time(tmp_path / "config") == pytest.approx(30.0)
+    assert max_time(tmp_path / "flag", "--t-max-k", "2") == pytest.approx(20.0)
+
+
 def test_fit_gap_from_ensemble(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import annealbound.dynamics as dynamics
 from annealbound import (
     ConstantG,
     DegenerateGroundStateError,
@@ -171,3 +172,26 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     assert side["provenance"] == traj.provenance
     assert side["n_steps"] == traj.n_steps
     assert side["problem"] == prob.to_json()
+    assert side["propagator"] == traj.propagator == "dense"
+    assert side["h_applies"] == traj.h_applies == 0
+
+
+@pytest.mark.parametrize("n_spins", [1, 2, 3, 4])
+def test_dense_and_chebyshev_paths_agree(monkeypatch, n_spins):
+    prob = generate_random_problem(seed=11, n_spins=n_spins)
+    sched = Schedule(delta=0.05, c=1.5, g=ConstantG(0.1), n_spins=n_spins)
+    cfg = IntegratorConfig(max_time=100.0)
+    runs = {}
+    for crossover, name in ((n_spins, "dense"), (n_spins - 1, "chebyshev")):
+        monkeypatch.setattr(dynamics, "DENSE_MAX_SPINS", crossover)
+        runs[name] = evolve(prob, sched, cfg)
+        assert runs[name].propagator == name
+    dense, cheb = runs["dense"], runs["chebyshev"]
+    assert dense.n_steps == cheb.n_steps
+    # one H apply per Chebyshev term beyond the zeroth, on every step
+    assert dense.h_applies == 0
+    assert cheb.h_applies > 0 and cheb.h_applies % cheb.n_steps == 0
+    assert np.abs(dense.final_state - cheb.final_state).max() <= 1e-10
+    assert np.abs(dense.excitation_norms - cheb.excitation_norms).max() <= 1e-10
+    assert np.abs(dense.ground_overlap_sq - cheb.ground_overlap_sq).max() <= 1e-10
+    assert dense.norm_drift.max() <= 1e-12 and cheb.norm_drift.max() <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annealbound import spectrum
 from annealbound import (
     ConstantG,
     DegenerateGroundStateError,
@@ -79,6 +80,18 @@ def test_random_spectra_match_oracle(n, gamma, seed):
     vals = lowest_eigs(prob, gamma)
     assert snap.eps0 == pytest.approx(vals[0], abs=1e-10)
     assert snap.eps1 == pytest.approx(vals[1], abs=1e-10)
+
+
+def test_dense_ground_state_matches_diagonalize():
+    for n in range(1, 6):
+        diag = build_diagonal(generate_random_problem(seed=n, n_spins=n))
+        ref = diagonalize(diag, 0.4).ground_state
+        h = spectrum.dense_hamiltonian(diag, 0.4)
+        assert np.abs(spectrum.dense_ground_state(h, 0.4) - ref).max() <= 1e-12
+    # the same degeneracy check as diagonalize, which only applies at Gamma > 0
+    with pytest.raises(GapAnomalyError):
+        spectrum.dense_ground_state(np.eye(4), 0.5)
+    assert np.linalg.norm(spectrum.dense_ground_state(np.eye(4), 0.0)) == pytest.approx(1.0)
 
 
 def test_iterative_branch_matches_dense_oracle():
