@@ -4,6 +4,12 @@ Dense symmetric diagonalization up to 10 spins, iterative smallest-eigenpair
 extraction on the matrix-free operator up to 14. The bound evaluation only
 ever needs (eps0, eps1) and the ground vector.
 
+The iterative solver is one real Lanczos routine (ARPACK eigsh on a real
+LinearOperator over apply_hamiltonian, started from the uniform vector, which
+overlaps the positive Perron ground state). `diagonalize` uses it above the
+dense cap, and `lanczos_ground_state` uses it for the record-point ground
+states of the matrix-free propagator in `dynamics`.
+
 Also hosts the empirical gap lower-bound machinery: the per-instance largest
 constant A with Delta >= A * Gamma^N on a grid, and the least-squares fit of
 A(N) = a * sqrt(N) * exp(-b N) across sizes.
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,17 +104,12 @@ def diagonalize(
 
     if n <= MAX_SPINS_DENSE:
         h = dense_hamiltonian(diag, gamma_value)
-        vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, count - 1])
+        if want_vector:
+            vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, count - 1])
+        else:
+            vals = scipy.linalg.eigh(h, subset_by_index=[0, count - 1], eigvals_only=True)
     elif n <= MAX_SPINS_ITERATIVE:
-        op = LinearOperator(
-            (dim, dim),
-            matvec=lambda v: apply_hamiltonian(diag, gamma_value, v.astype(complex)),
-            dtype=complex,
-        )
-        v0 = np.full(dim, 1.0 / math.sqrt(dim))
-        vals, vecs = eigsh(op, k=count, which="SA", v0=v0, tol=1e-12)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _lanczos_lowest(diag, gamma_value, count)
     else:
         raise SizeCapError(
             f"diagonalization capped at {MAX_SPINS_ITERATIVE} spins, got {n}"
@@ -121,6 +123,34 @@ def diagonalize(
         t=float(t), gamma_value=float(gamma_value), eps0=eps0, eps1=eps1,
         gap=gap, ground_state=ground, eigenvalues=np.asarray(vals, dtype=float),
     )
+
+
+def _lanczos_lowest(
+    diag: DiagonalIsing, gamma_value: float, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest `count` eigenpairs of the real operator H(Gamma), ascending.
+
+    ARPACK needs count < 2^N.
+    """
+    dim = 1 << diag.n_spins
+    op = LinearOperator(
+        (dim, dim), matvec=lambda v: apply_hamiltonian(diag, gamma_value, v), dtype=float
+    )
+    v0 = np.full(dim, 1.0 / math.sqrt(dim))
+    vals, vecs = eigsh(op, k=count, which="SA", v0=v0, tol=1e-12)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def lanczos_ground_state(diag: DiagonalIsing, gamma_value: float) -> np.ndarray:
+    """Ground vector of H(Gamma) from matrix-free Lanczos, with diagonalize's
+    gap check and phase convention. Dimensions <= 4 go through diagonalize:
+    eigsh cannot take k = 2 at dimension 2, and dense is cheaper there."""
+    if diag.n_spins <= 2:
+        return diagonalize(diag, gamma_value).ground_state
+    vals, vecs = _lanczos_lowest(diag, gamma_value, 2)
+    _check_gap(vals[1] - vals[0], gamma_value)
+    return _fix_phase(vecs[:, 0])
 
 
 def _check_gap(gap: float, gamma_value: float) -> None:
@@ -186,7 +216,7 @@ def gap_profile(
     ]
 
 
-def profile_to_csv(snapshots: list[SpectrumSnapshot], path) -> None:
+def profile_to_csv(snapshots: Sequence[SpectrumSnapshot], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "gamma", "eps0", "eps1", "gap"])
@@ -201,7 +231,8 @@ class GapCurve:
     """Measured gap along a schedule, interpolated cubically in log(delta*t + c).
 
     The abscissa log(delta*t + c) spreads the late-time decay evenly and is
-    finite at t = 0, unlike log t.
+    finite at t = 0, unlike log t. `snapshots` holds the solved sample behind
+    each entry of `x`, in the same order.
     """
 
     delta: float
@@ -212,6 +243,7 @@ class GapCurve:
     t_min_gap: float
     min_gap: float
     n_evaluations: int
+    snapshots: tuple[SpectrumSnapshot, ...] = field(repr=False)
     _spline: CubicSpline = field(repr=False)
 
     def __call__(self, t):
@@ -252,14 +284,13 @@ def build_gap_curve(
     t_nodes[0] = 0.0
     t_nodes[-1] = t_max
 
-    samples: dict[float, float] = {}
+    samples: dict[float, SpectrumSnapshot] = {}
 
     def gap_at(t: float) -> float:
         t = float(t)
         if t not in samples:
-            snap = diagonalize(diag, schedule.gamma(t), want_vector=False)
-            samples[t] = snap.gap
-        return samples[t]
+            samples[t] = diagonalize(diag, schedule.gamma(t), t=t, want_vector=False)
+        return samples[t].gap
 
     gaps = np.array([gap_at(t) for t in t_nodes])
     k = int(np.argmin(gaps))
@@ -274,7 +305,7 @@ def build_gap_curve(
         gap_at(float(res.x))
 
     ts = np.array(sorted(samples))
-    gs = np.array([samples[t] for t in ts])
+    gs = np.array([samples[t].gap for t in ts])
     if np.any(gs <= 0):
         bad = ts[gs <= 0][0]
         raise GapAnomalyError(f"nonpositive measured gap at t={bad:g}")
@@ -291,7 +322,8 @@ def build_gap_curve(
     return GapCurve(
         delta=delta, c=c, t_max=float(t_max), x=x, gaps=gs,
         t_min_gap=float(ts[j]), min_gap=float(gs[j]),
-        n_evaluations=len(samples), _spline=spline,
+        n_evaluations=len(samples), snapshots=tuple(samples[t] for t in ts),
+        _spline=spline,
     )
 
 

@@ -195,3 +195,59 @@ def test_dense_and_chebyshev_paths_agree(monkeypatch, n_spins):
     assert np.abs(dense.excitation_norms - cheb.excitation_norms).max() <= 1e-10
     assert np.abs(dense.ground_overlap_sq - cheb.ground_overlap_sq).max() <= 1e-10
     assert dense.norm_drift.max() <= 1e-12 and cheb.norm_drift.max() <= 1e-12
+
+
+def test_excitation_norm_keeps_digits_near_the_ground_state():
+    # Ground vectors off in one last bit are in the ground space to rounding;
+    # sqrt(1 - |<g|psi_hat>|^2) reads 2.1e-8 on one of them.
+    prob = generate_random_problem(seed=4, n_spins=3)
+    sched = Schedule(delta=1e-4, c=2.0, g=ConstantG(0.125), n_spins=3)
+    ground = initial_state(prob, sched)
+    naive, exact = [], []
+    for k in range(ground.size):
+        for toward in (0.0, 2.0):
+            psi = ground.copy()
+            psi[k] = np.nextafter(psi[k].real, toward)
+            ov = abs(np.vdot(ground, psi / np.linalg.norm(psi))) ** 2
+            naive.append(math.sqrt(max(0.0, 1.0 - ov)))
+            exact.append(excitation_norm(psi, ground))
+    assert max(naive) > 1e-8
+    assert max(exact) <= 1e-15
+
+
+@pytest.mark.parametrize("n_spins", [6, 7, 8])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_chebyshev_record_overlaps_match_dense_ground_states(monkeypatch, n_spins, seed):
+    prob = generate_random_problem(seed=seed, n_spins=n_spins)
+    sched = Schedule(delta=0.1, c=2.0, g=ConstantG(1.0 / 36.0), n_spins=n_spins)
+    states = []
+    chebyshev_steps = dynamics._chebyshev_steps
+
+    def keep_states(*args):
+        for psi in chebyshev_steps(*args):
+            states.append(psi)
+            yield psi
+
+    monkeypatch.setattr(dynamics, "_chebyshev_steps", keep_states)
+    traj = evolve(prob, sched, IntegratorConfig(max_time=20.0, dt=0.5, record_stride=4))
+    assert traj.propagator == "chebyshev"
+    diag = build_diagonal(prob)
+    psi0 = initial_state(prob, sched)
+    for t, gam, ov in zip(traj.times, traj.gammas, traj.ground_overlap_sq):
+        psi = psi0 if t == 0.0 else states[round(t / traj.dt) - 1]
+        ground = diagonalize(diag, gam).ground_state
+        assert abs(np.vdot(ground, psi / np.linalg.norm(psi))) ** 2 == pytest.approx(ov, abs=1e-12)
+
+
+def test_paths_agree_on_a_tiny_excitation(monkeypatch):
+    # Criterion 05's delta = 1e-4 instance, cut at T = 2e3 so the Chebyshev
+    # run stays short. There 1 - |<g|psi>|^2 is ~1e-13, and the two paths'
+    # rounding-level state differences moved sqrt(1 - overlap) by 3e-3 relative.
+    prob = generate_random_problem(seed=23, n_spins=2)
+    sched = Schedule(delta=1e-4, c=2.0, g=ConstantG(0.125), n_spins=2)
+    finals = []
+    for crossover in (2, 1):
+        monkeypatch.setattr(dynamics, "DENSE_MAX_SPINS", crossover)
+        finals.append(evolve(prob, sched, IntegratorConfig(max_time=2e3)).final_excitation)
+    assert finals[0] < 1e-6
+    assert finals[1] == pytest.approx(finals[0], rel=1e-6, abs=0.0)

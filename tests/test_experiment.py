@@ -1,15 +1,22 @@
 """Config validation, random instances, and the batch run pipeline."""
 
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+import annealbound.bound as bound
+import annealbound.dynamics as dynamics
+import annealbound.experiment as experiment
+import annealbound.spectrum as spectrum
 from annealbound import (
     ConfigError,
     ExperimentConfig,
     IsingProblem,
+    Schedule,
+    gap_profile,
     build_diagonal,
     generate_random_problem,
     run_experiment,
@@ -303,3 +310,64 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
         v1 = json.load(open(os.path.join(m1.out_dir, r1["dir"], "verdict.json")))
         v2 = json.load(open(os.path.join(m2.out_dir, r2["dir"], "verdict.json")))
         assert v1 == v2
+
+
+def _measured_config():
+    return _base_config(
+        problem={"random": {"seed": 7, "n_spins": 3}},
+        schedule={
+            "delta": 1e-1,
+            "c": 2.0,
+            "n_spins": 3,
+            "g": {"kind": "constant", "g0": 0.125},
+        },
+        gap_mode="measured",
+    )
+
+
+def test_gap_profile_csv_holds_the_gap_curves_samples(tmp_path):
+    manifest = run_experiment(ExperimentConfig(raw=_measured_config()), out_dir=str(tmp_path))
+    assert manifest.all_ok
+    run_dir = os.path.join(manifest.out_dir, manifest.runs[0]["dir"])
+    with open(os.path.join(run_dir, "gap_profile.csv")) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "gamma", "eps0", "eps1", "gap"]
+    table = np.array(rows[1:], dtype=float)
+    problem = IsingProblem.from_json(json.load(open(os.path.join(run_dir, "problem.json"))))
+    schedule = Schedule.from_json(json.load(open(os.path.join(run_dir, "schedule.json"))))
+    snaps = gap_profile(problem, schedule, table[:, 0])
+    direct = np.array([[s.t, s.gamma_value, s.eps0, s.eps1, s.gap] for s in snaps])
+    assert np.allclose(table, direct, rtol=0.0, atol=1e-12)
+
+
+def test_measured_run_solves_each_gamma_once(tmp_path, monkeypatch):
+    gammas, curve_gammas, curves, grid_sizes = [], [], [], []
+    solve = spectrum.diagonalize
+    build_curve = experiment.build_gap_curve
+    scan_grid = bound.instance_gap_constant
+
+    def counting_diagonalize(diag, gamma_value, *args, **kwargs):
+        gammas.append(float(gamma_value))
+        return solve(diag, gamma_value, *args, **kwargs)
+
+    def keep_curve(*args, **kwargs):
+        first = len(gammas)
+        curves.append(build_curve(*args, **kwargs))
+        curve_gammas.extend(gammas[first:])
+        return curves[-1]
+
+    def count_grid(problem, grid):
+        grid_sizes.append(len(grid))
+        return scan_grid(problem, grid)
+
+    monkeypatch.setattr(spectrum, "diagonalize", counting_diagonalize)
+    monkeypatch.setattr(dynamics, "diagonalize", counting_diagonalize)
+    monkeypatch.setattr(experiment, "build_gap_curve", keep_curve)
+    monkeypatch.setattr(bound, "instance_gap_constant", count_grid)
+    manifest = run_experiment(ExperimentConfig(raw=_measured_config()), out_dir=str(tmp_path))
+    assert manifest.all_ok
+    assert len(curves) == 1 and grid_sizes
+    assert len(gammas) == curves[0].n_evaluations + sum(grid_sizes)
+    # no gap-curve node is solved twice (the bound's Gamma grid may share
+    # its top end, Gamma(0), with the curve's first node)
+    assert len(curve_gammas) == curves[0].n_evaluations == len(set(curve_gammas))

@@ -94,6 +94,31 @@ def test_dense_ground_state_matches_diagonalize():
     assert np.linalg.norm(spectrum.dense_ground_state(np.eye(4), 0.0)) == pytest.approx(1.0)
 
 
+def test_lanczos_ground_state_matches_diagonalize(monkeypatch):
+    # n <= 2 (dimension <= 4) falls back to diagonalize; ARPACK needs k < dim.
+    for n in range(1, 10):
+        diag = build_diagonal(generate_random_problem(seed=n, n_spins=n))
+        for gamma in (1e-3, 0.05, 0.4, 1.5):
+            ref = diagonalize(diag, gamma).ground_state
+            vec = spectrum.lanczos_ground_state(diag, gamma)
+            assert vec.dtype == np.float64
+            assert np.abs(vec - ref).max() <= 1e-10
+    # the same degeneracy check as diagonalize
+    monkeypatch.setattr(spectrum, "DEGENERACY_TOL", 1e3)
+    with pytest.raises(GapAnomalyError):
+        spectrum.lanczos_ground_state(diag, 0.4)
+
+
+def test_eigenvalues_do_not_depend_on_want_vector():
+    for n in (2, 5, 8):
+        diag = build_diagonal(generate_random_problem(seed=n, n_spins=n))
+        for gamma in (0.01, 0.3, 1.2):
+            full = diagonalize(diag, gamma)
+            bare = diagonalize(diag, gamma, want_vector=False)
+            assert bare.ground_state is None
+            assert np.array_equal(bare.eigenvalues, full.eigenvalues)
+
+
 def test_iterative_branch_matches_dense_oracle():
     prob = generate_random_problem(seed=2, n_spins=11, k_max=2)
     snap = diagonalize(build_diagonal(prob), 0.8)
@@ -201,6 +226,19 @@ def test_gap_curve_matches_direct_diagonalization(rng):
     assert curve.min_gap > 0
     assert 0.0 <= curve.t_min_gap <= t_max
     assert curve(curve.t_min_gap) == pytest.approx(curve.min_gap, rel=1e-8)
+
+
+def test_gap_curve_keeps_its_samples():
+    prob = generate_random_problem(seed=21, n_spins=4)
+    sched = Schedule(delta=1e-2, c=1.5, g=ConstantG(0.08), n_spins=4)
+    curve = build_gap_curve(prob, sched, 800.0)
+    ts = np.array([s.t for s in curve.snapshots])
+    assert len(curve.snapshots) == curve.x.size <= curve.n_evaluations
+    assert ts[0] == 0.0 and ts[-1] == 800.0 and np.all(np.diff(ts) > 0)
+    assert np.allclose(np.log(sched.delta * ts + sched.c), curve.x, rtol=0.0, atol=1e-15)
+    assert np.array_equal([s.gap for s in curve.snapshots], curve.gaps)
+    assert [s.gamma_value for s in curve.snapshots] == [sched.gamma(t) for t in ts]
+    assert curve.t_min_gap in ts
 
 
 def test_gap_curve_range_check():
