@@ -442,7 +442,9 @@ Per-run files:
 
 All floats are written with full repr precision; rerunning the same config
 on the same build reproduces the data files byte for byte (the manifest
-carries timing and is exempt).
+carries timing and is exempt), provided the BLAS thread count is the same,
+for example OPENBLAS_NUM_THREADS=1: dense LAPACK and ARPACK eigensolves
+round differently with a different number of threads.
 """
 
 

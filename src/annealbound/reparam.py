@@ -18,7 +18,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import ValidationError
 from .quadrature import adaptive_integrate
-from .schedule import Schedule
+from .schedule import Schedule, scalar_or_array
 
 _LOG2 = math.log(2.0)
 
@@ -143,7 +143,7 @@ def s_from_schedule(schedule: Schedule, t_tilde_value, *, prefactor: float = 1.0
     u = schedule.delta * tt + schedule.c
     g = schedule.g.value(tt, u)
     out = 1.0 / (1.0 + prefactor * np.power(tt, -g))
-    return float(out) if np.isscalar(t_tilde_value) else out
+    return scalar_or_array(out, t_tilde_value)
 
 
 def s_asymptotic(schedule: Schedule, t_tilde_value, *, prefactor: float = 1.0):
@@ -155,7 +155,7 @@ def s_asymptotic(schedule: Schedule, t_tilde_value, *, prefactor: float = 1.0):
     u = schedule.delta * tt + schedule.c
     g = schedule.g.value(tt, u)
     out = 1.0 - prefactor * np.power(tt, -g)
-    return float(out) if np.isscalar(t_tilde_value) else out
+    return scalar_or_array(out, t_tilde_value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,12 @@ from scipy.interpolate import CubicSpline
 from .errors import ValidationError
 
 
+def scalar_or_array(out, like):
+    """`out` as a Python float when the input `like` is a scalar (0-d), else
+    `out` unchanged: functions of time return the shape they were given."""
+    return float(out) if np.ndim(like) == 0 else out
+
+
 @dataclass(frozen=True)
 class ConstantG:
     g0: float
@@ -180,7 +186,7 @@ class Schedule:
         t_arr = np.asarray(t, dtype=float)
         u = self._u(t_arr)
         out = np.power(u, -self.g.value(t_arr, u))
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return scalar_or_array(out, t_arr)
 
     def gamma_prime(self, t):
         """d(Gamma)/dt = Gamma * (-g'(t) log u - delta g(t)/u)."""
@@ -189,7 +195,7 @@ class Schedule:
         g = self.g.value(t_arr, u)
         g1 = self.g.deriv1(t_arr, u, self.delta)
         out = np.power(u, -g) * (-g1 * np.log(u) - self.delta * g / u)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return scalar_or_array(out, t_arr)
 
     def gamma_double_prime(self, t):
         """Second derivative from the explicit product-rule expansion."""
@@ -202,7 +208,7 @@ class Schedule:
         gam = np.power(u, -g)
         inner = -g1 * logu - self.delta * g / u
         out = gam * (self.delta**2 * g / u**2 - g2 * logu - 2.0 * self.delta * g1 / u) + gam * inner**2
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return scalar_or_array(out, t_arr)
 
     def to_json(self) -> dict:
         return {

@@ -1,14 +1,20 @@
 """Instantaneous spectra of H(Gamma) = H_Ising - Gamma * sum_i sigma^x_i.
 
-Dense symmetric diagonalization up to 10 spins, iterative smallest-eigenpair
-extraction on the matrix-free operator up to 14. The bound evaluation only
-ever needs (eps0, eps1) and the ground vector.
+Dense symmetric diagonalization up to MAX_SPINS_DENSE = 8 spins, iterative
+smallest-eigenpair extraction on the matrix-free operator from 9 up to 14. The
+bound evaluation only ever needs (eps0, eps1) and the ground vector.
 
 The iterative solver is one real Lanczos routine (ARPACK eigsh on a real
 LinearOperator over apply_hamiltonian, started from the uniform vector, which
 overlaps the positive Perron ground state). `diagonalize` uses it above the
 dense cap, and `lanczos_ground_state` uses it for the record-point ground
 states of the matrix-free propagator in `dynamics`.
+
+The cap is a measured crossover (one OpenBLAS thread, 2-vCPU Xeon VM, seed 7,
+50 Gamma in [1e-3, 1.5], lowest pair without vectors, ms per solve, dense
+against Lanczos): N = 8 4.0 against 4.9, N = 9 18.9 against 4.8, N = 10 143
+against 6.4. Dense eigh grows as 8^N, a Lanczos solve as 2^N times a few
+dozen H applies.
 
 Also hosts the empirical gap lower-bound machinery: the per-instance largest
 constant A with Delta >= A * Gamma^N on a grid, and the least-squares fit of
@@ -36,9 +42,9 @@ from .errors import (
     ValidationError,
 )
 from .ising import DiagonalIsing, IsingProblem, apply_hamiltonian, build_diagonal
-from .schedule import Schedule
+from .schedule import Schedule, scalar_or_array
 
-MAX_SPINS_DENSE = 10
+MAX_SPINS_DENSE = 8
 MAX_SPINS_ITERATIVE = 14
 DEGENERACY_TOL = 1e-10
 
@@ -87,6 +93,9 @@ def diagonalize(
 ) -> SpectrumSnapshot:
     """Lowest `count` eigenvalues plus the (phase-fixed) ground vector.
 
+    Up to MAX_SPINS_DENSE spins a dense solve clamps `count` to 2^N; above,
+    Lanczos needs `count` < 2^N.
+
     For Gamma > 0 the ground state is unique (the off-diagonal part is
     negative and irreducible), so a gap below the degeneracy tolerance there
     indicates a structural problem and raises GapAnomalyError.
@@ -97,6 +106,11 @@ def diagonalize(
         raise ValidationError(f"gamma must be finite and >= 0, got {gamma_value}")
     n = diag.n_spins
     dim = 1 << n
+    if MAX_SPINS_DENSE < n <= MAX_SPINS_ITERATIVE and count >= dim:
+        raise ValidationError(
+            f"count must be < 2^N = {dim} above {MAX_SPINS_DENSE} spins "
+            f"(ARPACK needs fewer eigenpairs than the dimension), got {count}"
+        )
     count = min(count, dim)
     if count < 2:
         # N = 0 cannot occur (IsingProblem requires n_spins >= 1), dim >= 2.
@@ -252,7 +266,7 @@ class GapCurve:
             raise ValidationError(f"t outside measured range [0, {self.t_max}]")
         x = np.log(self.delta * np.clip(t_arr, 0.0, self.t_max) + self.c)
         out = self._spline(x)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return scalar_or_array(out, t_arr)
 
 
 def build_gap_curve(

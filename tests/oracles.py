@@ -22,15 +22,18 @@ def site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
 
 
 def dense_hamiltonian(problem, gamma: float) -> np.ndarray:
-    """H = -sum_terms J prod sigma^z - gamma sum_i sigma^x as an explicit matrix."""
+    """H = -sum_terms J prod sigma^z - gamma sum_i sigma^x as an explicit matrix.
+
+    Each product of sigma^z is diagonal, with diagonal the kron chain of the
+    single-site diagonals (1, -1) on its sites and (1, 1) elsewhere."""
     n = problem.n_spins
-    dim = 2**n
-    h = np.zeros((dim, dim))
+    ising = np.zeros(2**n)
     for sites, j in problem.terms:
-        term = np.eye(dim)
-        for s in sites:
-            term = term @ site_operator(SZ, s, n)
-        h -= j * term
+        term = np.ones(1)
+        for s in reversed(range(n)):
+            term = np.kron(term, np.diag(SZ) if s in sites else np.diag(ID2))
+        ising -= j * term
+    h = np.diag(ising)
     for i in range(n):
         h -= gamma * site_operator(SX, i, n)
     return h
@@ -55,3 +58,9 @@ def grid_max(f, grid) -> float:
 def lowest_eigs(problem, gamma: float, k: int = 2):
     vals = np.linalg.eigvalsh(dense_hamiltonian(problem, gamma))
     return vals[:k]
+
+
+def ground_state(problem, gamma: float) -> np.ndarray:
+    """Unit ground vector of dense_hamiltonian, its largest entry positive."""
+    vec = np.linalg.eigh(dense_hamiltonian(problem, gamma))[1][:, 0]
+    return vec * np.sign(vec[np.argmax(np.abs(vec))])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from annealbound import spectrum
@@ -26,7 +27,7 @@ from annealbound import (
     profile_to_csv,
 )
 
-from oracles import dense_hamiltonian, lowest_eigs
+from oracles import dense_hamiltonian, ground_state, lowest_eigs
 
 
 def _dense_bits(problem, gamma):
@@ -96,13 +97,18 @@ def test_dense_ground_state_matches_diagonalize():
 
 def test_lanczos_ground_state_matches_diagonalize(monkeypatch):
     # n <= 2 (dimension <= 4) falls back to diagonalize; ARPACK needs k < dim.
-    for n in range(1, 10):
-        diag = build_diagonal(generate_random_problem(seed=n, n_spins=n))
+    # Above the dense cap diagonalize runs the same Lanczos routine, so those
+    # sizes are also checked against the oracle's ground vector.
+    for n in range(1, 11):
+        prob = generate_random_problem(seed=n, n_spins=n)
+        diag = build_diagonal(prob)
         for gamma in (1e-3, 0.05, 0.4, 1.5):
             ref = diagonalize(diag, gamma).ground_state
             vec = spectrum.lanczos_ground_state(diag, gamma)
             assert vec.dtype == np.float64
             assert np.abs(vec - ref).max() <= 1e-10
+            if n > spectrum.MAX_SPINS_DENSE:
+                assert np.abs(vec - ground_state(prob, gamma)).max() <= 1e-10
     # the same degeneracy check as diagonalize
     monkeypatch.setattr(spectrum, "DEGENERACY_TOL", 1e3)
     with pytest.raises(GapAnomalyError):
@@ -117,6 +123,45 @@ def test_eigenvalues_do_not_depend_on_want_vector():
             bare = diagonalize(diag, gamma, want_vector=False)
             assert bare.ground_state is None
             assert np.array_equal(bare.eigenvalues, full.eigenvalues)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_diagonalize_matches_oracle_across_the_dense_crossover(n):
+    # N = 8 is the last dense size; 9 and 10 take the Lanczos branch.
+    prob = generate_random_problem(seed=n, n_spins=n)
+    diag = build_diagonal(prob)
+    for gamma in (1e-4, 1e-2, 0.4, 3.0):
+        snap = diagonalize(diag, gamma)
+        eps0, eps1 = lowest_eigs(prob, gamma)
+        assert abs(snap.eps0 - eps0) <= 1e-12
+        assert abs(snap.eps1 - eps1) <= 1e-12
+        assert abs(snap.gap - (eps1 - eps0)) <= 1e-12
+        assert np.abs(snap.ground_state - ground_state(prob, gamma)).max() <= 1e-10
+
+
+def test_dense_branch_ends_at_eight_spins(monkeypatch):
+    class DenseSolve(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise DenseSolve
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    diag9 = build_diagonal(generate_random_problem(seed=9, n_spins=9))
+    assert diagonalize(diag9, 0.4).gap > 0
+    diag8 = build_diagonal(generate_random_problem(seed=8, n_spins=8))
+    with pytest.raises(DenseSolve):
+        diagonalize(diag8, 0.4)
+
+
+def test_lanczos_branch_rejects_count_at_the_dimension():
+    diag = build_diagonal(generate_random_problem(seed=9, n_spins=9))
+    for count in (512, 600):
+        with pytest.raises(ValidationError, match=r"count must be < 2\^N = 512"):
+            diagonalize(diag, 0.4, count=count)
+    # the dense branch clamps count to the dimension instead
+    diag3 = build_diagonal(generate_random_problem(seed=3, n_spins=3))
+    assert diagonalize(diag3, 0.4, count=600).eigenvalues.size == 8
 
 
 def test_iterative_branch_matches_dense_oracle():
