@@ -18,18 +18,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, GapAnomalyError, ProvenanceMismatchError, ValidationError
-from .ising import IsingProblem, build_diagonal
+from .ising import IsingProblem
 from .provenance import pair_hash
 from .quadrature import adaptive_integrate, cumulative_at, log_clock_edges
-from .schedule import ConditionCertificate, Schedule, certify
+from .schedule import T_MAX_K, ConditionCertificate, Schedule, certify
 from .spectrum import GapBoundFit, GapCurve, build_gap_curve, instance_gap_constant
 
 GAP_MODES = ("measured", "bounded", "unit")
+QUAD_ABS_TOL = 1e-10
 
 
 def derivative_norms(schedule: Schedule, t):
@@ -61,29 +62,10 @@ class BoundReport:
     quadrature: dict
     certified: bool
     provenance: str
-    samples: dict | None = field(default=None, repr=False)
+    samples: dict = field(repr=False)
 
     def to_json(self) -> dict:
-        out = {
-            "term_initial": self.term_initial,
-            "term_limit": self.term_limit,
-            "term_limit_proxy": self.term_limit_proxy,
-            "integral_second_deriv": self.integral_second_deriv,
-            "integral_first_deriv_sq": self.integral_first_deriv_sq,
-            "tail_second_deriv": self.tail_second_deriv,
-            "tail_first_deriv_sq": self.tail_first_deriv_sq,
-            "total": self.total,
-            "gap_mode": self.gap_mode,
-            "t_max": self.t_max,
-            "n_spins": self.n_spins,
-            "delta": self.delta,
-            "c": self.c,
-            "constants": self.constants,
-            "quadrature": self.quadrature,
-            "certified": self.certified,
-            "provenance": self.provenance,
-        }
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
 
 
 @dataclass(frozen=True)
@@ -96,14 +78,7 @@ class ComparisonVerdict:
     provenance: str
 
     def to_json(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "slack_ratio": self.slack_ratio,
-            "final_excitation": self.final_excitation,
-            "total": self.total,
-            "gap_mode": self.gap_mode,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,53 +96,46 @@ class FiniteTimeBound:
     provenance: str
 
 
-def _check_same_n(problem: IsingProblem, schedule: Schedule) -> None:
-    if problem.n_spins != schedule.n_spins:
-        raise ValidationError(
-            f"problem has {problem.n_spins} spins but schedule was built for "
-            f"{schedule.n_spins}"
-        )
-
-
-def _instance_gap_A(problem: IsingProblem, gamma_hi: float, gamma_lo: float):
-    """Per-instance largest A with Delta >= A Gamma^N on [gamma_lo, gamma_hi].
+def _instance_gap_A(problem: IsingProblem, schedule: Schedule, t_max: float) -> float:
+    """Per-instance largest A with Delta >= A Gamma^N over the Gamma range of
+    [0, t_max], scanned down to at most min(0.05, Gamma_min/4, Gamma_max/4).
 
     Delta/Gamma^N diverges as Gamma -> 0 for nondegenerate problems, so a
     minimum pinned to the low edge means the grid is not yet wide enough and
     the scan extends downward until the minimum is interior or at the top.
     """
-    gamma_lo = min(gamma_lo, gamma_hi / 4.0)
+    gamma_lo, gamma_hi = schedule.gamma_range(t_max)
+    gamma_lo = min(0.05, gamma_lo / 4.0, gamma_hi / 4.0)
     for _ in range(8):
         grid = np.geomspace(gamma_lo, gamma_hi, 81)
         a_emp, g_at = instance_gap_constant(problem, grid)
         if g_at > grid[0] * (1 + 1e-4):
-            return a_emp, g_at
+            return a_emp
         gamma_lo /= 4.0
     raise GapAnomalyError("Delta/Gamma^N still decreasing at the low-Gamma grid edge")
 
 
-def _gap_model(problem, schedule, t_max, gap_mode, fit, curve):
-    """Returns (gap_fn vectorized over t, A_used, A_source, extras dict)."""
+def _gap_model(problem, schedule, t_max, gap_mode, fit, curve, need_a):
+    """Returns (gap_fn vectorized over t, A_used, A_source, extras dict).
+
+    A comes from the fit, or else from the instance scan, which runs only
+    where A is used: the bounded gap itself, or when the caller needs A.
+    """
     n = schedule.n_spins
     if gap_mode == "unit":
         return (lambda t: np.ones_like(np.asarray(t, dtype=float))), math.nan, "none", {}
-    probe = np.linspace(0.0, t_max, 2049)
-    gam_hi = float(np.max(schedule.gamma(probe)))
-    gam_lo = float(np.min(schedule.gamma(probe)))
+    a_used, a_source = math.nan, "none"
     if fit is not None:
         a_used, a_source = fit.A_of(n), "fit"
-    else:
-        a_used, a_at = _instance_gap_A(problem, gam_hi, min(0.05, gam_lo / 4.0))
-        a_source = "instance"
-    if gap_mode == "measured":
-        if curve is None:
-            curve = build_gap_curve(problem, schedule, t_max)
-        extras = {"min_gap": curve.min_gap, "t_min_gap": curve.t_min_gap}
-        return curve, a_used, a_source, extras
+    elif need_a or gap_mode == "bounded":
+        a_used, a_source = _instance_gap_A(problem, schedule, t_max), "instance"
     if gap_mode == "bounded":
         gap_fn = lambda t: a_used * np.asarray(schedule.gamma(t), dtype=float) ** n
         return gap_fn, a_used, a_source, {}
-    raise ConfigError(f"gap_mode must be one of {GAP_MODES}, got {gap_mode!r}")
+    if curve is None:
+        curve = build_gap_curve(problem, schedule, t_max)
+    extras = {"min_gap": curve.min_gap, "t_min_gap": curve.t_min_gap}
+    return curve, a_used, a_source, extras
 
 
 def _analytic_tails(
@@ -222,6 +190,46 @@ def _integrands(schedule, gap_fn):
     return second_deriv, first_deriv_sq
 
 
+def _slope_term(schedule, gap_fn, t) -> tuple[float, float]:
+    """(Delta(t), N|Gamma'(t)|/Delta(t)^2) at one time t."""
+    gap = float(gap_fn(t))
+    dh1, _ = derivative_norms(schedule, t)
+    return gap, float(dh1) / gap**2
+
+
+class _BoundCore:
+    """What both forms of the bound share up to the last checkpoint t_max:
+    the gap model, both integrands, the panel edges (log-clock edges plus the
+    checkpoints), both quadratures and the initial slope term."""
+
+    def __init__(
+        self, problem, schedule, checkpoints, gap_mode, quadrature_points, fit, curve,
+        *, need_a,
+    ):
+        if problem.n_spins != schedule.n_spins:
+            raise ValidationError(
+                f"problem has {problem.n_spins} spins but schedule was built for "
+                f"{schedule.n_spins}"
+            )
+        if gap_mode not in GAP_MODES:
+            raise ConfigError(f"gap_mode must be one of {GAP_MODES}, got {gap_mode!r}")
+        if quadrature_points < 2:
+            raise ValidationError("quadrature_points must be >= 2")
+        t_max = float(checkpoints[-1])
+        self.gap_fn, self.a_used, self.a_source, self.extras = _gap_model(
+            problem, schedule, t_max, gap_mode, fit, curve, need_a
+        )
+        self.f2, self.f1 = _integrands(schedule, self.gap_fn)
+        if schedule.delta > 0:
+            base = log_clock_edges(schedule.delta, schedule.c, t_max, quadrature_points)
+        else:
+            base = np.linspace(0.0, t_max, quadrature_points + 1)
+        self.edges = np.unique(np.concatenate([base, checkpoints]))
+        self.res2 = adaptive_integrate(self.f2, self.edges, abs_tol=QUAD_ABS_TOL)
+        self.res1 = adaptive_integrate(self.f1, self.edges, abs_tol=QUAD_ABS_TOL)
+        self.gap0, self.term_initial = _slope_term(schedule, self.gap_fn, 0.0)
+
+
 def evaluate_bound(
     problem: IsingProblem,
     schedule: Schedule,
@@ -233,10 +241,8 @@ def evaluate_bound(
     fit: GapBoundFit | None = None,
     curve: GapCurve | None = None,
     l: float = 0.5,
-    t_max_k: float = 10.0,
+    t_max_k: float = T_MAX_K,
     tails: bool = True,
-    abs_tol: float = 1e-10,
-    with_samples: bool = True,
 ) -> BoundReport:
     """Every term of the excitation bound for one problem/schedule pair.
 
@@ -247,13 +253,7 @@ def evaluate_bound(
     error. With tails disabled the limit term is reported at T_max instead
     of 0 and the total is a finite-horizon quantity.
     """
-    _check_same_n(problem, schedule)
-    if gap_mode not in GAP_MODES:
-        raise ConfigError(f"gap_mode must be one of {GAP_MODES}, got {gap_mode!r}")
-    if quadrature_points < 2:
-        raise ValidationError("quadrature_points must be >= 2")
     delta, c, n = schedule.delta, schedule.c, schedule.n_spins
-
     if t_max is None:
         if delta == 0.0:
             raise ValidationError("t_max required when delta = 0")
@@ -271,44 +271,30 @@ def evaluate_bound(
             )
         certified = True
 
-    gap_fn, a_used, a_source, extras = _gap_model(
-        problem, schedule, t_max, gap_mode, fit, curve
+    core = _BoundCore(
+        problem, schedule, [t_max], gap_mode, quadrature_points, fit, curve, need_a=True
     )
-    f2, f1 = _integrands(schedule, gap_fn)
-
-    if delta > 0:
-        edges = log_clock_edges(delta, c, t_max, quadrature_points)
-    else:
-        edges = np.linspace(0.0, t_max, quadrature_points + 1)
-    res2 = adaptive_integrate(f2, edges, abs_tol=abs_tol)
-    res1 = adaptive_integrate(f1, edges, abs_tol=abs_tol)
-
-    gap0 = float(gap_fn(0.0))
-    gap_t = float(gap_fn(t_max))
-    dh1_0, _ = derivative_norms(schedule, 0.0)
-    dh1_T, _ = derivative_norms(schedule, t_max)
-    term_initial = float(dh1_0) / gap0**2
-    term_limit_proxy = float(dh1_T) / gap_t**2
+    gap_t, term_limit_proxy = _slope_term(schedule, core.gap_fn, t_max)
 
     if certified:
         term_limit = 0.0
         tail1, tail2 = _analytic_tails(
-            certificate, n, t_max, A=a_used, unit=(gap_mode == "unit")
+            certificate, n, t_max, A=core.a_used, unit=(gap_mode == "unit")
         )
     else:
         term_limit = term_limit_proxy
         tail1, tail2 = 0.0, 0.0
 
     total = (
-        term_initial + term_limit + res2.value + res1.value + tail2 + tail1
+        core.term_initial + term_limit + core.res2.value + core.res1.value + tail2 + tail1
     )
 
     constants = {
-        "A_used": a_used,
-        "A_source": a_source,
-        "gap0": gap0,
+        "A_used": core.a_used,
+        "A_source": core.a_source,
+        "gap0": core.gap0,
         "gap_t_max": gap_t,
-        **extras,
+        **core.extras,
     }
     if certificate is not None:
         constants.update(
@@ -319,23 +305,21 @@ def evaluate_bound(
     if fit is not None:
         constants.update(a_fit=fit.a_fit, b_fit=fit.b_fit)
 
-    samples = None
-    if with_samples:
-        ts = edges[:: max(1, edges.size // 1000)]
-        samples = {
-            "t": ts,
-            "gamma": np.asarray(schedule.gamma(ts)),
-            "gap": np.asarray(gap_fn(ts)),
-            "integrand_second_deriv": f2(ts),
-            "integrand_first_deriv_sq": f1(ts),
-        }
+    ts = core.edges[:: max(1, core.edges.size // 1000)]
+    samples = {
+        "t": ts,
+        "gamma": np.asarray(schedule.gamma(ts)),
+        "gap": np.asarray(core.gap_fn(ts)),
+        "integrand_second_deriv": core.f2(ts),
+        "integrand_first_deriv_sq": core.f1(ts),
+    }
 
     return BoundReport(
-        term_initial=term_initial,
+        term_initial=core.term_initial,
         term_limit=term_limit,
         term_limit_proxy=term_limit_proxy,
-        integral_second_deriv=res2.value,
-        integral_first_deriv_sq=res1.value,
+        integral_second_deriv=core.res2.value,
+        integral_first_deriv_sq=core.res1.value,
         tail_second_deriv=tail2,
         tail_first_deriv_sq=tail1,
         total=total,
@@ -346,9 +330,9 @@ def evaluate_bound(
         c=c,
         constants=constants,
         quadrature={
-            "second_deriv": res2.diagnostics(),
-            "first_deriv_sq": res1.diagnostics(),
-            "abs_tol": abs_tol,
+            "second_deriv": core.res2.diagnostics(),
+            "first_deriv_sq": core.res1.diagnostics(),
+            "abs_tol": QUAD_ABS_TOL,
         },
         certified=certified,
         provenance=pair_hash(problem.to_json(), schedule.to_json()),
@@ -365,7 +349,6 @@ def finite_time_rhs(
     *,
     fit: GapBoundFit | None = None,
     curve: GapCurve | None = None,
-    abs_tol: float = 1e-10,
 ) -> FiniteTimeBound:
     """Finite-horizon bound at each checkpoint t:
 
@@ -375,37 +358,21 @@ def finite_time_rhs(
     Valid without any certificate; this is the inequality the trajectory
     tests check pointwise.
     """
-    _check_same_n(problem, schedule)
     pts = np.atleast_1d(np.asarray(checkpoints, dtype=float))
     if pts.size == 0 or np.any(pts <= 0) or np.any(np.diff(pts) < 0):
         raise ValidationError("checkpoints must be positive and sorted ascending")
-    t_max = float(pts[-1])
-    delta, c, n = schedule.delta, schedule.c, schedule.n_spins
+    core = _BoundCore(
+        problem, schedule, pts, gap_mode, quadrature_points, fit, curve, need_a=False
+    )
+    cum2 = cumulative_at(core.f2, core.res2, pts)
+    cum1 = cumulative_at(core.f1, core.res1, pts)
+    term_current = np.array([_slope_term(schedule, core.gap_fn, t)[1] for t in pts])
 
-    gap_fn, _, _, _ = _gap_model(problem, schedule, t_max, gap_mode, fit, curve)
-    f2, f1 = _integrands(schedule, gap_fn)
-
-    if delta > 0:
-        base = log_clock_edges(delta, c, t_max, quadrature_points)
-    else:
-        base = np.linspace(0.0, t_max, quadrature_points + 1)
-    edges = np.unique(np.concatenate([base, pts]))
-    res2 = adaptive_integrate(f2, edges, abs_tol=abs_tol)
-    res1 = adaptive_integrate(f1, edges, abs_tol=abs_tol)
-    cum2 = cumulative_at(f2, res2, pts)
-    cum1 = cumulative_at(f1, res1, pts)
-
-    gap0 = float(gap_fn(0.0))
-    dh1_0, _ = derivative_norms(schedule, 0.0)
-    term_initial = float(dh1_0) / gap0**2
-    dh1_t, _ = derivative_norms(schedule, pts)
-    term_current = np.asarray(dh1_t, dtype=float) / np.asarray(gap_fn(pts)) ** 2
-
-    rhs = term_initial + term_current + cum2 + cum1
+    rhs = core.term_initial + term_current + cum2 + cum1
     return FiniteTimeBound(
         times=pts,
         rhs=rhs,
-        term_initial=term_initial,
+        term_initial=core.term_initial,
         term_current=term_current,
         cum_second_deriv=cum2,
         cum_first_deriv_sq=cum1,
@@ -440,8 +407,6 @@ def compare(report: BoundReport, trajectory, *, atol: float = 0.0) -> Comparison
 
 
 def integrand_samples_to_csv(report: BoundReport, path) -> None:
-    if report.samples is None:
-        raise ValidationError("report was built with with_samples=False")
     cols = ["t", "gamma", "gap", "integrand_second_deriv", "integrand_first_deriv_sq"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

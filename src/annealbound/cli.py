@@ -12,16 +12,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .bound import evaluate_bound, integrand_samples_to_csv
+from .bound import GAP_MODES, evaluate_bound, integrand_samples_to_csv
 from .dynamics import IntegratorConfig, evolve, trajectory_sidecar, trajectory_to_csv
 from .errors import ConfigError, ValidationError
-from .experiment import ExperimentConfig, generate_random_problem, run_experiment
+from .experiment import ExperimentConfig, _write_json, generate_random_problem, run_experiment
 from .ising import IsingProblem
+from .quadrature import log_clock_edges
 from .reparam import build_reparam_map, s_function_from_json
-from .schedule import Schedule, certify
+from .schedule import T_MAX_K, Schedule, certify
 from .spectrum import fit_gap_constants, gap_profile, profile_to_csv
 
 
@@ -33,11 +35,11 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _write_json(path: str, data: dict) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _entry(data: dict, key: str):
+    """data[key], or a ConfigError naming the missing key."""
+    if key not in data:
+        raise ConfigError(f"config has no {key!r} entry")
+    return data[key]
 
 
 def _time_grid(spec: dict, schedule: Schedule) -> np.ndarray:
@@ -45,7 +47,7 @@ def _time_grid(spec: dict, schedule: Schedule) -> np.ndarray:
     if "hi" in spec:
         hi = spec["hi"]
     elif schedule.delta > 0:
-        hi = 10.0 / schedule.delta
+        hi = T_MAX_K / schedule.delta
     else:
         raise ConfigError("t_grid needs an explicit 'hi' when delta = 0")
     points = spec.get("points", 200)
@@ -53,20 +55,13 @@ def _time_grid(spec: dict, schedule: Schedule) -> np.ndarray:
     if spacing == "linear":
         return np.linspace(lo, hi, points)
     if spacing == "log_u":
-        if schedule.delta == 0:
-            raise ConfigError("log_u spacing needs delta > 0")
-        u = np.geomspace(
-            schedule.delta * lo + schedule.c, schedule.delta * hi + schedule.c, points
-        )
-        t = (u - schedule.c) / schedule.delta
-        t[0], t[-1] = lo, hi
-        return t
+        return log_clock_edges(schedule.delta, schedule.c, hi, points - 1, t_lo=lo)
     raise ConfigError(f"unknown t_grid spacing {spacing!r}")
 
 
 def _t_max_k(args) -> float:
-    """--t-max-k, or the horizon constant K = 10 when the flag is not given."""
-    return 10.0 if args.t_max_k is None else args.t_max_k
+    """--t-max-k, or the horizon constant T_MAX_K when the flag is not given."""
+    return T_MAX_K if args.t_max_k is None else args.t_max_k
 
 
 def _schedule_from(data: dict) -> Schedule:
@@ -98,7 +93,7 @@ def cmd_certify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     data = _load_json(args.config)
-    problem = IsingProblem.from_json(data["problem"])
+    problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
     t_grid = _time_grid(data.get("t_grid", {}), schedule)
     snapshots = gap_profile(problem, schedule, t_grid)
@@ -115,21 +110,23 @@ def cmd_spectrum(args) -> int:
 
 def cmd_evolve(args) -> int:
     data = _load_json(args.config)
-    problem = IsingProblem.from_json(data["problem"])
+    problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
     integ_data = data.get("integrator", {})
+    unknown = sorted(set(integ_data) - {f.name for f in fields(IntegratorConfig)})
+    if unknown:
+        raise ConfigError(f"unknown integrator key {unknown[0]!r}")
     if integ_data.get("max_time") is None:
         if schedule.delta == 0:
             raise ConfigError("integrator.max_time required when delta = 0")
         integ_data = dict(integ_data, max_time=_t_max_k(args) / schedule.delta)
     config = IntegratorConfig(**integ_data)
     record = evolve(problem, schedule, config)
-    os.makedirs(args.out, exist_ok=True)
-    trajectory_to_csv(record, os.path.join(args.out, "trajectory.csv"))
     _write_json(
         os.path.join(args.out, "trajectory.json"),
         trajectory_sidecar(record, problem, schedule, config),
     )
+    trajectory_to_csv(record, os.path.join(args.out, "trajectory.csv"))
     status = "FAILED" if record.failed else "ok"
     print(
         f"evolve: {status}  {record.n_steps} steps, dt={record.dt:g}, "
@@ -141,7 +138,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_bound(args) -> int:
     data = _load_json(args.config)
-    problem = IsingProblem.from_json(data["problem"])
+    problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
     report = evaluate_bound(
         problem,
@@ -153,7 +150,6 @@ def cmd_bound(args) -> int:
         t_max_k=_t_max_k(args),
         tails=data.get("tails", True),
     )
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "bound_report.json"), report.to_json())
     integrand_samples_to_csv(report, os.path.join(args.out, "integrand_samples.csv"))
     print(
@@ -195,7 +191,7 @@ def cmd_fit_gap(args) -> int:
     if "problems" in data:
         problems = [IsingProblem.from_json(p) for p in data["problems"]]
     else:
-        ens = data["ensemble"]
+        ens = _entry(data, "ensemble")
         seeds = ens["seeds"] if args.seed is None else [args.seed + i for i in range(len(ens["seeds"]))]
         problems = [
             generate_random_problem(
@@ -224,18 +220,17 @@ def cmd_fit_gap(args) -> int:
 
 def cmd_reparam(args) -> int:
     data = _load_json(args.config)
-    s_fn = s_function_from_json(data["s"])
+    s_fn = s_function_from_json(_entry(data, "s"))
     grid_spec = data.get("t_grid", {})
     t_grid = np.linspace(
         0.0, grid_spec.get("hi", 25.0), grid_spec.get("points", 501)
     )
     rmap = build_reparam_map(s_fn, t_grid)
-    os.makedirs(args.out, exist_ok=True)
-    rmap.to_csv(os.path.join(args.out, "reparam.csv"))
     _write_json(
         os.path.join(args.out, "reparam.json"),
         {"s": s_fn.to_json(), "map": rmap.to_json()},
     )
+    rmap.to_csv(os.path.join(args.out, "reparam.csv"))
     print(
         f"reparam: {t_grid.size} points, t_tilde({t_grid[-1]:g}) = "
         f"{rmap.t_tilde_values[-1]:.6g}"
@@ -250,6 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
         "for transverse-field Ising problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--seed": dict(type=int, default=None, help="override config seeds"),
+        "--jobs": dict(type=int, default=1, help="worker processes for sweeps"),
+        "--gap-mode": dict(
+            choices=GAP_MODES, default=None,
+            help="override the gap model used in bound integrands",
+        ),
+        "--t-max-k": dict(
+            type=float, default=None,
+            help="horizon T_max = K/delta when max_time is not set "
+            f"(overrides the config's t_max_k; default {T_MAX_K:g})",
+        ),
+    }
     commands = {
         "certify": (cmd_certify, "check the convergence conditions of a schedule"),
         "spectrum": (cmd_spectrum, "gap profile along a schedule"),
@@ -259,21 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
         "fit-gap": (cmd_fit_gap, "fit the gap lower-bound constants on an ensemble"),
         "reparam": (cmd_reparam, "map a bounded s(t) anneal onto the decay clock"),
     }
+    # Each verb registers only the flags it reads, so argparse rejects the rest.
+    reads = {
+        "evolve": ["--t-max-k"], "bound": ["--gap-mode", "--t-max-k"],
+        "run": list(flags), "fit-gap": ["--seed"],
+    }
     for name, (fn, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seeds")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-        p.add_argument(
-            "--gap-mode", choices=["measured", "bounded", "unit"], default=None,
-            help="override the gap model used in bound integrands",
-        )
-        p.add_argument(
-            "--t-max-k", type=float, default=None,
-            help="horizon T_max = K/delta when max_time is not set "
-            "(overrides the config's t_max_k; default 10)",
-        )
+        for flag in reads.get(name, []):
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(func=fn)
     return parser
 

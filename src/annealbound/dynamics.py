@@ -229,10 +229,8 @@ def evolve(
         def ground(gam: float) -> np.ndarray:
             return lanczos_ground_state(diag, gam)
 
-        # Spectral envelope over the whole run; Gamma need not be monotone,
-        # so sample it densely instead of trusting Gamma(0) to dominate.
-        probe = np.linspace(0.0, t_max, 4097)
-        gam_hi = float(np.max(schedule.gamma(probe))) * (1.0 + 1e-9)
+        # Spectral envelope over the whole run, from the largest Gamma.
+        gam_hi = schedule.gamma_range(t_max)[1] * (1.0 + 1e-9)
         n = diag.n_spins
         e_lo = float(np.min(diag.energies)) - n * gam_hi
         e_hi = float(np.max(diag.energies)) + n * gam_hi

@@ -28,7 +28,7 @@ from .dynamics import IntegratorConfig, evolve, trajectory_sidecar, trajectory_t
 from .errors import ConfigError, ValidationError
 from .ising import IsingProblem, build_diagonal
 from .provenance import content_hash
-from .schedule import Schedule, certify
+from .schedule import T_MAX_K, Schedule, certify
 # gap_profile stays bound here: the benchmark's tracer wraps it by this name.
 from .spectrum import build_gap_curve, gap_profile, profile_to_csv
 
@@ -218,7 +218,7 @@ class ExperimentConfig:
             else raw.get("gap_mode", "measured")
         )
         tails = raw.get("tails", True)
-        t_max_k = t_max_k_override if t_max_k_override is not None else raw.get("t_max_k", 10.0)
+        t_max_k = t_max_k_override if t_max_k_override is not None else raw.get("t_max_k", T_MAX_K)
         quad_points = raw.get("quadrature_points", 1000)
         cert_cfg = raw.get("certify", {})
         integ_base = {
@@ -301,6 +301,9 @@ class ExperimentConfig:
 
 
 def _write_json(path: str, data: dict) -> None:
+    """Sorted, indented JSON with a trailing newline; creates the parent
+    directory. The one JSON writer for run artifacts and CLI outputs."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -321,7 +324,6 @@ def _execute_run(spec: RunSpec) -> dict:
     try:
         problem = IsingProblem.from_json(spec.problem)
         schedule = Schedule.from_json(spec.schedule)
-        os.makedirs(spec.out_dir, exist_ok=True)
         _write_json(emit("problem.json"), problem.to_json())
         _write_json(emit("schedule.json"), schedule.to_json())
 
@@ -336,12 +338,7 @@ def _execute_run(spec: RunSpec) -> dict:
             reason = "delta = 0" if cert is None else cert.reason
             raise ValidationError(f"tails requested but schedule not certified: {reason}")
 
-        integ = IntegratorConfig(
-            max_time=spec.integrator["max_time"],
-            dt=spec.integrator.get("dt"),
-            record_stride=spec.integrator.get("record_stride"),
-            norm_tolerance=spec.integrator.get("norm_tolerance", 1e-8),
-        )
+        integ = IntegratorConfig(**spec.integrator)
         trajectory = evolve(problem, schedule, integ)
         trajectory_to_csv(trajectory, emit("trajectory.csv"))
         _write_json(
@@ -459,7 +456,6 @@ def run_experiment(
 ) -> RunManifest:
     started = time.perf_counter()
     out_dir = os.path.abspath(out_dir or config.raw.get("out_dir", "runs"))
-    os.makedirs(out_dir, exist_ok=True)
     specs = config.expand(
         out_dir,
         seed_override=seed_override,

@@ -151,14 +151,18 @@ def cumulative_at(f, result: QuadratureResult, points) -> np.ndarray:
     return out
 
 
-def log_clock_edges(delta: float, c: float, t_max: float, n_panels: int) -> np.ndarray:
-    """Panel edges equally spaced in log(delta*t + c), which equidistributes
-    the power-law decay of the bound integrands."""
+def log_clock_edges(
+    delta: float, c: float, t_max: float, n_panels: int, t_lo: float = 0.0
+) -> np.ndarray:
+    """Panel edges from t_lo to t_max equally spaced in log(delta*t + c),
+    which equidistributes the power-law decay of the bound integrands. This
+    is the package's one log-clock grid: bound panels, gap-curve nodes,
+    certificate grid and CLI time grids all come from it."""
     if not (delta > 0 and c > 0 and t_max > 0):
         raise ValidationError("log clock edges need delta, c, t_max > 0")
-    u = np.geomspace(c, delta * t_max + c, n_panels + 1)
+    u = np.geomspace(delta * t_lo + c, delta * t_max + c, n_panels + 1)
     t = (u - c) / delta
-    t[0] = 0.0
+    t[0] = t_lo
     t[-1] = t_max
     t = np.maximum.accumulate(t)
     return np.unique(t)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ValidationError
-from .quadrature import adaptive_integrate
+from .quadrature import adaptive_integrate, cumulative_at
 from .schedule import Schedule, scalar_or_array
 
 _LOG2 = math.log(2.0)
@@ -200,9 +200,9 @@ class ReparamMap:
 
 
 def build_reparam_map(s_fn, t_grid) -> ReparamMap:
-    """Cumulative clock integral over the given grid, one Kronrod panel per
-    cell (s is smooth and slowly varying; per-cell error is far below the
-    map's interpolation error)."""
+    """Cumulative clock integral at every grid point, from adaptive panels
+    that start as one Kronrod panel per cell (s is smooth and slowly varying;
+    per-cell error is far below the map's interpolation error)."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or t_grid[0] != 0.0:
         raise ValidationError("t_grid must be 1-d, start at 0, and have >= 2 points")
@@ -212,15 +212,7 @@ def build_reparam_map(s_fn, t_grid) -> ReparamMap:
     if isinstance(s_fn, TanhS):
         tt = np.asarray(s_fn.t_tilde_exact(t_grid), dtype=float)
     else:
-        res = adaptive_integrate(
-            lambda x: np.asarray(s_fn(x), dtype=float), t_grid, abs_tol=1e-12
-        )
-        tt = np.concatenate([[0.0], np.cumsum(res.panel_values)]) if res.n_panels == t_grid.size - 1 else None
-        if tt is None:
-            # refinement split some cells; rebuild prefix sums at grid points
-            from .quadrature import cumulative_at
-
-            tt = np.concatenate([[0.0], cumulative_at(
-                lambda x: np.asarray(s_fn(x), dtype=float), res, t_grid[1:]
-            )])
+        s_of = lambda x: np.asarray(s_fn(x), dtype=float)
+        res = adaptive_integrate(s_of, t_grid, abs_tol=1e-12)
+        tt = np.concatenate([[0.0], cumulative_at(s_of, res, t_grid[1:])])
     return ReparamMap(times=t_grid, s_values=s_vals, t_tilde_values=tt)

@@ -26,6 +26,11 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ValidationError
+from .quadrature import log_clock_edges
+
+# Horizon constant K: runs, bounds and certificates that are given no horizon
+# stop at T_max = K/delta.
+T_MAX_K = 10.0
 
 
 def scalar_or_array(out, like):
@@ -210,6 +215,12 @@ class Schedule:
         out = gam * (self.delta**2 * g / u**2 - g2 * logu - 2.0 * self.delta * g1 / u) + gam * inner**2
         return scalar_or_array(out, t_arr)
 
+    def gamma_range(self, t_max: float) -> tuple[float, float]:
+        """(min, max) of Gamma over 4097 equally spaced times in [0, t_max].
+        Gamma need not be monotone, so the endpoints alone do not suffice."""
+        gam = self.gamma(np.linspace(0.0, t_max, 4097))
+        return float(np.min(gam)), float(np.max(gam))
+
     def to_json(self) -> dict:
         return {
             "delta": self.delta,
@@ -283,16 +294,6 @@ class ConditionCertificate:
         return cls(**data)
 
 
-def _cert_grid(delta: float, c: float, horizon: float, points: int) -> np.ndarray:
-    if delta > 0:
-        u = np.geomspace(c, delta * horizon + c, points)
-        t = (u - c) / delta
-        t[0] = 0.0
-        t[-1] = horizon
-        return t
-    return np.linspace(0.0, horizon, points)
-
-
 def certify(
     schedule: Schedule,
     horizon: float | None = None,
@@ -309,7 +310,7 @@ def certify(
     envelope whose required constant is still growing at the horizon fails,
     since the grid then says nothing about larger t. When they are given, the
     envelopes are checked pointwise and the first violating grid time is
-    reported. horizon defaults to 10/delta.
+    reported. horizon defaults to T_MAX_K/delta.
     """
     if not (l > 0):
         raise ValidationError(f"l must be positive, got {l}")
@@ -318,12 +319,15 @@ def certify(
     if horizon is None:
         if schedule.delta == 0.0:
             raise ValidationError("horizon required when delta = 0")
-        horizon = 10.0 / schedule.delta
+        horizon = T_MAX_K / schedule.delta
     if not (horizon > 0):
         raise ValidationError(f"horizon must be positive, got {horizon}")
 
     delta, c, n = schedule.delta, schedule.c, schedule.n_spins
-    t = _cert_grid(delta, c, horizon, grid_points)
+    if delta > 0:
+        t = log_clock_edges(delta, c, horizon, grid_points - 1)
+    else:
+        t = np.linspace(0.0, horizon, grid_points)
     u = delta * t + c
     grid_desc = {"kind": "log_u" if delta > 0 else "linear", "points": int(grid_points), "horizon": float(horizon)}
     m = _m_value(delta, c, l)

@@ -42,11 +42,13 @@ from .errors import (
     ValidationError,
 )
 from .ising import DiagonalIsing, IsingProblem, apply_hamiltonian, build_diagonal
+from .quadrature import log_clock_edges
 from .schedule import Schedule, scalar_or_array
 
 MAX_SPINS_DENSE = 8
 MAX_SPINS_ITERATIVE = 14
 DEGENERACY_TOL = 1e-10
+GAP_CURVE_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -273,11 +275,9 @@ def build_gap_curve(
     problem: IsingProblem,
     schedule: Schedule,
     t_max: float,
-    *,
-    n_times: int = 200,
-    refine: bool = True,
 ) -> GapCurve:
-    """Sample the gap on a log(delta*t+c) grid and refine near its minimum.
+    """Sample the gap on GAP_CURVE_NODES log-clock nodes and refine near its
+    minimum.
 
     The refinement runs a bounded scalar minimization around the coarse-grid
     minimum and folds every evaluation into the interpolation data, so the
@@ -287,16 +287,11 @@ def build_gap_curve(
         raise ValidationError("gap curve requires delta > 0 (log-u grid)")
     if not (t_max > 0):
         raise ValidationError(f"t_max must be positive, got {t_max}")
-    if n_times < 8:
-        raise ValidationError(f"n_times must be >= 8, got {n_times}")
     diag = build_diagonal(problem)
     check_ising_nondegenerate(diag)
     delta, c = schedule.delta, schedule.c
 
-    u = np.geomspace(c, delta * t_max + c, n_times)
-    t_nodes = (u - c) / delta
-    t_nodes[0] = 0.0
-    t_nodes[-1] = t_max
+    t_nodes = log_clock_edges(delta, c, t_max, GAP_CURVE_NODES - 1)
 
     samples: dict[float, SpectrumSnapshot] = {}
 
@@ -309,7 +304,7 @@ def build_gap_curve(
     gaps = np.array([gap_at(t) for t in t_nodes])
     k = int(np.argmin(gaps))
 
-    if refine and 0 < k < n_times - 1:
+    if 0 < k < t_nodes.size - 1:
         res = minimize_scalar(
             gap_at,
             bounds=(t_nodes[k - 1], t_nodes[k + 1]),

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import annealbound.bound as bound
 from annealbound import (
     ConfigError,
     ConstantG,
@@ -180,6 +181,33 @@ def test_finite_time_rhs_dominates_trajectory():
     assert ft.term_initial > 0
 
 
+@pytest.mark.parametrize("gap_mode", ["measured", "bounded", "unit"])
+def test_both_bound_forms_share_one_core(gap_mode):
+    # Without tails, the infinite-time report at T_max and the finite-time
+    # bound at the single checkpoint T_max are the same computation.
+    prob = generate_random_problem(seed=7, n_spins=2)
+    s = _sched(delta=1e-2, c=2.0, g0=0.125, n=2)
+    rep = evaluate_bound(prob, s, gap_mode=gap_mode, tails=False)
+    ft = finite_time_rhs(prob, s, [rep.t_max], gap_mode=gap_mode)
+    assert rep.term_initial == ft.term_initial
+    assert rep.term_limit_proxy == ft.term_current[-1]
+    assert rep.integral_second_deriv == pytest.approx(ft.cum_second_deriv[-1], rel=1e-12)
+    assert rep.integral_first_deriv_sq == pytest.approx(ft.cum_first_deriv_sq[-1], rel=1e-12)
+    assert rep.total == pytest.approx(ft.rhs[-1], rel=1e-12)
+
+
+def test_measured_finite_time_rhs_runs_no_instance_gap_scan(monkeypatch):
+    # A enters only the bounded gap and evaluate_bound's tails and report.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("instance gap scan in measured finite-time bound")
+
+    monkeypatch.setattr(bound, "instance_gap_constant", no_scan)
+    prob = generate_random_problem(seed=7, n_spins=2)
+    s = _sched(delta=1e-2, c=2.0, g0=0.125, n=2)
+    ft = finite_time_rhs(prob, s, [10.0, 100.0, 1000.0])
+    assert np.all(np.isfinite(ft.rhs))
+
+
 def test_finite_time_rhs_validation():
     prob = generate_random_problem(seed=17, n_spins=2)
     s = _sched(n=2)
@@ -250,15 +278,12 @@ def test_report_constants_and_provenance():
 def test_report_csv_samples(tmp_path):
     prob = generate_random_problem(seed=7, n_spins=2)
     s = _sched(delta=1e-2, c=2.0, g0=0.125, n=2)
-    rep = evaluate_bound(prob, s, with_samples=True)
+    rep = evaluate_bound(prob, s)
     path = tmp_path / "samples.csv"
     integrand_samples_to_csv(rep, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,gamma,gap,integrand_second_deriv,integrand_first_deriv_sq"
     assert len(lines) > 10
-    rep_no = evaluate_bound(prob, s, with_samples=False)
-    with pytest.raises(ValidationError):
-        integrand_samples_to_csv(rep_no, path)
 
 
 # ---------------------------------------------------------------- error paths

@@ -180,3 +180,47 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
+    # A flag a verb would ignore is an argparse error (exit 2), not a no-op.
+    read = {
+        "certify": set(),
+        "spectrum": set(),
+        "evolve": {"--t-max-k"},
+        "bound": {"--gap-mode", "--t-max-k"},
+        "run": {"--seed", "--jobs", "--gap-mode", "--t-max-k"},
+        "fit-gap": {"--seed"},
+        "reparam": set(),
+    }
+    values = {"--seed": "3", "--jobs": "4", "--gap-mode": "unit", "--t-max-k": "20"}
+    cfg = _write(tmp_path, "cfg.json", {"schedule": _schedule_json()})
+    for verb, flags in read.items():
+        for flag in sorted(set(values) - flags):
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "--config", cfg, "--out", str(tmp_path), flag, values[flag]])
+            assert exc.value.code == 2, (verb, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_ONE_SPIN = {"n_spins": 1, "terms": [{"sites": [0], "j": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "verb,config,key",
+    [
+        ("evolve", {"schedule": _schedule_json(n=1)}, "'problem'"),
+        ("reparam", {"t_grid": {"hi": 5.0}}, "'s'"),
+        (
+            "evolve",
+            {"problem": _ONE_SPIN, "schedule": _schedule_json(n=1), "integrator": {"steps": 10}},
+            "'steps'",
+        ),
+    ],
+)
+def test_malformed_config_names_the_key_and_exits_2(tmp_path, capsys, verb, config, key):
+    cfg = _write(tmp_path, "cfg.json", config)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert len(err.strip().splitlines()) == 1
