@@ -192,7 +192,9 @@ def cmd_fit_gap(args) -> int:
         problems = [IsingProblem.from_json(p) for p in data["problems"]]
     else:
         ens = _entry(data, "ensemble")
-        seeds = ens["seeds"] if args.seed is None else [args.seed + i for i in range(len(ens["seeds"]))]
+        seeds = _entry(ens, "seeds")
+        if args.seed is not None:
+            seeds = [args.seed + i for i in range(len(seeds))]
         problems = [
             generate_random_problem(
                 seed=seed,
@@ -201,7 +203,7 @@ def cmd_fit_gap(args) -> int:
                 field_scale=ens.get("field_scale", 0.5),
                 coupling_scale=ens.get("coupling_scale", 1.0),
             )
-            for n in ens["sizes"]
+            for n in _entry(ens, "sizes")
             for seed in seeds
         ]
     grid_spec = data.get("gamma_grid", {})

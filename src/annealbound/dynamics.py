@@ -8,16 +8,18 @@ the binding requirement; step count only sets phase accuracy.
 
 Two regimes apply the same propagator, chosen by size:
 
-- n_spins <= DENSE_MAX_SPINS: exactly, through one dense real-symmetric
-  eigendecomposition per step (LAPACK dsyevd), psi <- V e^{-iw dt} V^T psi.
-  Record-point ground states come from the same LAPACK routine. At these
-  dimensions a Chebyshev step's cost is the Python overhead of its ~22
-  matrix-free H applies, and one small eigendecomposition is cheaper.
+- n_spins <= DENSE_MAX_SPINS = 5: exactly, through one dense real-symmetric
+  eigendecomposition per step (all pairs, LAPACK dsyevd),
+  psi <- V e^{-iw dt} V^T psi. At these dimensions a Chebyshev step's cost is
+  the Python overhead of its ~22 matrix-free H applies, and one small
+  eigendecomposition is cheaper.
 - larger n_spins: a Chebyshev expansion of the exponential on a fixed
   spectral envelope (Tal-Ezer & Kosloff 1984), built from matrix-free H
-  applies, with record-point ground states from matrix-free Lanczos
-  (`spectrum.lanczos_ground_state`), which costs a few dozen H applies
-  instead of a dense eigendecomposition.
+  applies.
+
+In both regimes the initial state and the record-point ground states come
+from `spectrum.diagonalize`: a dense lowest-pair solve up to 8 spins,
+matrix-free Lanczos above.
 
 The crossover was measured with one OpenBLAS thread on a 2-vCPU Xeon VM,
 timing 4000 steps of the full evolve: dense wins through N = 5 (1.2 s
@@ -31,20 +33,14 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 from scipy.special import jv
 
 from .errors import ValidationError
 from .ising import DiagonalIsing, IsingProblem, apply_hamiltonian, build_diagonal
 from .provenance import pair_hash
 from .schedule import Schedule
-from .spectrum import (
-    check_ising_nondegenerate,
-    dense_ground_state,
-    dense_hamiltonian,
-    diagonalize,
-    eigh_dense,
-    lanczos_ground_state,
-)
+from .spectrum import check_ising_nondegenerate, diagonalize, transverse_field
 
 TARGET_RECORDS = 1000
 COEFF_TOL = 1e-16
@@ -119,11 +115,7 @@ def initial_state(problem: IsingProblem, schedule: Schedule) -> np.ndarray:
         raise ValidationError(f"Gamma(0) must be positive, got {gamma0}")
     diag = build_diagonal(problem)
     check_ising_nondegenerate(diag)
-    if diag.n_spins <= DENSE_MAX_SPINS:
-        ground = dense_ground_state(dense_hamiltonian(diag, gamma0), gamma0)
-    else:
-        ground = diagonalize(diag, gamma0).ground_state
-    return ground.astype(complex)
+    return diagonalize(diag, gamma0).ground_state.astype(complex)
 
 
 def _auto_dt(schedule: Schedule, t_max: float) -> float:
@@ -188,6 +180,20 @@ def _chebyshev_steps(
         yield psi
 
 
+def _eigh_all(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a real symmetric C-ordered matrix, ascending, from
+    one direct LAPACK dsyevd call; h is overwritten.
+
+    Skips scipy.linalg.eigh's argument checks and driver dispatch, which on
+    the smallest matrices cost more than the decomposition itself.
+    """
+    # h.T is the same symmetric matrix in Fortran order, so LAPACK works in place.
+    w, v, info = dsyevd(h.T, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    return w, v
+
+
 def _dense_steps(
     h0: np.ndarray, driver: np.ndarray, schedule: Schedule, psi: np.ndarray,
     n_steps: int, dt: float,
@@ -195,7 +201,7 @@ def _dense_steps(
     for start in range(0, n_steps, DENSE_CHUNK):
         t_mid = (np.arange(start, min(start + DENSE_CHUNK, n_steps)) + 0.5) * dt
         for h in h0 - schedule.gamma(t_mid)[:, None, None] * driver:
-            w, v = eigh_dense(h)
+            w, v = _eigh_all(h)
             psi = v @ (np.exp(-1j * dt * w) * (v.T @ psi))
             yield psi
 
@@ -215,20 +221,11 @@ def evolve(
     stride = config.record_stride or max(1, n_steps // TARGET_RECORDS)
 
     if diag.n_spins <= DENSE_MAX_SPINS:
-        # H(Gamma) = h0 - Gamma * driver reproduces dense_hamiltonian bit for bit.
-        h0 = dense_hamiltonian(diag, 0.0)
-        driver = h0 - dense_hamiltonian(diag, 1.0)
-
-        def ground(gam: float) -> np.ndarray:
-            return dense_ground_state(h0 - gam * driver, gam)
-
+        # H(Gamma) = diag(E) - Gamma * X, as spectrum.dense_hamiltonian builds it.
+        h0, driver = np.diag(diag.energies), transverse_field(diag.n_spins)
         propagator, h_applies = "dense", 0
         steps = _dense_steps(h0, driver, schedule, psi, n_steps, dt)
     else:
-
-        def ground(gam: float) -> np.ndarray:
-            return lanczos_ground_state(diag, gam)
-
         # Spectral envelope over the whole run, from the largest Gamma.
         gam_hi = schedule.gamma_range(t_max)[1] * (1.0 + 1e-9)
         n = diag.n_spins
@@ -253,7 +250,7 @@ def evolve(
         gam = schedule.gamma(t)
         nrm = float(np.linalg.norm(psi))
         drift = abs(nrm - 1.0)
-        g = ground(gam)
+        g = diagonalize(diag, gam, t=t).ground_state
         psi_hat = psi / nrm
         times.append(t)
         gams.append(gam)

@@ -1,14 +1,14 @@
 """Instantaneous spectra of H(Gamma) = H_Ising - Gamma * sum_i sigma^x_i.
 
-Dense symmetric diagonalization up to MAX_SPINS_DENSE = 8 spins, iterative
-smallest-eigenpair extraction on the matrix-free operator from 9 up to 14. The
-bound evaluation only ever needs (eps0, eps1) and the ground vector.
-
-The iterative solver is one real Lanczos routine (ARPACK eigsh on a real
-LinearOperator over apply_hamiltonian, started from the uniform vector, which
-overlaps the positive Perron ground state). `diagonalize` uses it above the
-dense cap, and `lanczos_ground_state` uses it for the record-point ground
-states of the matrix-free propagator in `dynamics`.
+`diagonalize` is the one eigensolve: the gap curve, the Gamma scan, the
+initial state and every record point of `dynamics.evolve` go through it. It
+returns the lowest pair (eps0, eps1) and the phase-fixed ground vector. Up to
+MAX_SPINS_DENSE = 8 spins it makes one LAPACK dsyevr call for the lowest two
+eigenpairs of the dense matrix; from 9 up to 14 it runs one real Lanczos
+routine (ARPACK eigsh on a real LinearOperator over apply_hamiltonian,
+started from the uniform vector, which overlaps the positive Perron ground
+state). The only other eigensolve is the step kernel of the dense propagator
+in `dynamics` (all eigenpairs, up to 5 spins).
 
 The cap is a measured crossover (one OpenBLAS thread, 2-vCPU Xeon VM, seed 7,
 50 Gamma in [1e-3, 1.5], lowest pair without vectors, ms per solve, dense
@@ -24,13 +24,13 @@ A(N) = a * sqrt(N) * exp(-b N) across sizes.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dsyevd
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 from scipy.optimize import minimize_scalar
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -59,143 +59,111 @@ class SpectrumSnapshot:
     eps1: float
     gap: float
     ground_state: np.ndarray | None = field(repr=False, default=None)
-    eigenvalues: np.ndarray | None = field(repr=False, default=None)
+
+
+@functools.cache
+def transverse_field(n_spins: int) -> np.ndarray:
+    """Dense, read-only X = sum_i sigma^x_i on n_spins spins, cached per size."""
+    dim = 1 << n_spins
+    x = np.zeros((dim, dim))
+    rows = np.arange(dim)
+    for i in range(n_spins):
+        x[rows, rows ^ (1 << i)] = 1.0
+    x.flags.writeable = False
+    return x
 
 
 def dense_hamiltonian(diag: DiagonalIsing, gamma_value: float) -> np.ndarray:
-    """Explicit 2^N x 2^N matrix; exists for small-N solves and cross-checks."""
+    """Explicit 2^N x 2^N matrix diag(E) - Gamma * X, for the dense solves."""
     n = diag.n_spins
     if n > MAX_SPINS_DENSE:
         raise SizeCapError(f"dense Hamiltonian capped at {MAX_SPINS_DENSE} spins, got {n}")
-    dim = 1 << n
-    h = np.diag(diag.energies).astype(float)
-    rows = np.arange(dim)
-    for i in range(n):
-        h[rows, rows ^ (1 << i)] -= gamma_value
-    return h
+    return np.diag(diag.energies) - gamma_value * transverse_field(n)
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    pivot = vec[k]
-    if pivot != 0:
-        vec = vec * (abs(pivot) / pivot)
-    if np.isrealobj(vec) or np.max(np.abs(vec.imag)) < 1e-14:
-        vec = np.real(vec).astype(float)
+    """Unit real vector with its largest-magnitude entry positive."""
+    if vec[int(np.argmax(np.abs(vec)))] < 0:
+        vec = -vec
     return vec / np.linalg.norm(vec)
 
 
 def diagonalize(
     diag: DiagonalIsing,
     gamma_value: float,
-    count: int = 2,
     *,
     t: float = 0.0,
     want_vector: bool = True,
 ) -> SpectrumSnapshot:
-    """Lowest `count` eigenvalues plus the (phase-fixed) ground vector.
+    """Lowest pair (eps0, eps1) plus the (phase-fixed) ground vector.
 
-    Up to MAX_SPINS_DENSE spins a dense solve clamps `count` to 2^N; above,
-    Lanczos needs `count` < 2^N.
+    Up to MAX_SPINS_DENSE spins one LAPACK dsyevr call on the dense matrix
+    (the lowest two eigenpairs only); above, matrix-free Lanczos.
 
     For Gamma > 0 the ground state is unique (the off-diagonal part is
     negative and irreducible), so a gap below the degeneracy tolerance there
     indicates a structural problem and raises GapAnomalyError.
     """
-    if count < 2:
-        raise ValidationError(f"count must be >= 2, got {count}")
     if not (gamma_value >= 0) or not math.isfinite(gamma_value):
         raise ValidationError(f"gamma must be finite and >= 0, got {gamma_value}")
     n = diag.n_spins
-    dim = 1 << n
-    if MAX_SPINS_DENSE < n <= MAX_SPINS_ITERATIVE and count >= dim:
-        raise ValidationError(
-            f"count must be < 2^N = {dim} above {MAX_SPINS_DENSE} spins "
-            f"(ARPACK needs fewer eigenpairs than the dimension), got {count}"
-        )
-    count = min(count, dim)
-    if count < 2:
-        # N = 0 cannot occur (IsingProblem requires n_spins >= 1), dim >= 2.
-        raise ValidationError("need at least a 2-dimensional space")
-
     if n <= MAX_SPINS_DENSE:
-        h = dense_hamiltonian(diag, gamma_value)
-        if want_vector:
-            vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, count - 1])
-        else:
-            vals = scipy.linalg.eigh(h, subset_by_index=[0, count - 1], eigvals_only=True)
+        vals, vecs = _dense_lowest(dense_hamiltonian(diag, gamma_value), want_vector)
     elif n <= MAX_SPINS_ITERATIVE:
-        vals, vecs = _lanczos_lowest(diag, gamma_value, count)
+        vals, vecs = _lanczos_lowest(diag, gamma_value)
     else:
-        raise SizeCapError(
-            f"diagonalization capped at {MAX_SPINS_ITERATIVE} spins, got {n}"
-        )
+        raise SizeCapError(f"diagonalization capped at {MAX_SPINS_ITERATIVE} spins, got {n}")
 
     eps0, eps1 = float(vals[0]), float(vals[1])
     gap = eps1 - eps0
-    _check_gap(gap, gamma_value)
+    if gamma_value > 0 and gap < DEGENERACY_TOL:
+        raise GapAnomalyError(
+            f"gap {gap:.3e} below degeneracy tolerance at Gamma={gamma_value:g} > 0"
+        )
     ground = _fix_phase(vecs[:, 0]) if want_vector else None
     return SpectrumSnapshot(
-        t=float(t), gamma_value=float(gamma_value), eps0=eps0, eps1=eps1,
-        gap=gap, ground_state=ground, eigenvalues=np.asarray(vals, dtype=float),
+        t=float(t), gamma_value=float(gamma_value), eps0=eps0, eps1=eps1, gap=gap,
+        ground_state=ground,
     )
 
 
-def _lanczos_lowest(
-    diag: DiagonalIsing, gamma_value: float, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest `count` eigenpairs of the real operator H(Gamma), ascending.
+def _dense_lowest(h: np.ndarray, want_vector: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest two eigenpairs of the real symmetric C-ordered h (overwritten),
+    ascending, from one direct LAPACK dsyevr call.
 
-    ARPACK needs count < 2^N.
+    Makes the call scipy.linalg.eigh(h, subset_by_index=[0, 1]) makes, with
+    the same workspace sizes, without its argument checks and driver dispatch,
+    which on the smallest matrices cost more than the decomposition itself.
     """
+    # h.T is the same symmetric matrix in Fortran order, so LAPACK works in place.
+    w, v, _, _, info = dsyevr(
+        h.T, compute_v=int(want_vector), range="I", il=1, iu=2, lower=1,
+        overwrite_a=1, **_dsyevr_work(h.shape[0]),
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    return w[:2], v
+
+
+@functools.cache
+def _dsyevr_work(dim: int) -> dict[str, int]:
+    """Workspace sizes of the dsyevr call at this dimension, as scipy queries them."""
+    lwork, liwork, info = dsyevr_lwork(dim, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr_lwork failed with info={info}")
+    return {"lwork": int(lwork), "liwork": int(liwork)}
+
+
+def _lanczos_lowest(diag: DiagonalIsing, gamma_value: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest two eigenpairs of the real operator H(Gamma), ascending."""
     dim = 1 << diag.n_spins
     op = LinearOperator(
         (dim, dim), matvec=lambda v: apply_hamiltonian(diag, gamma_value, v), dtype=float
     )
     v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    vals, vecs = eigsh(op, k=count, which="SA", v0=v0, tol=1e-12)
+    vals, vecs = eigsh(op, k=2, which="SA", v0=v0, tol=1e-12)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
-
-
-def lanczos_ground_state(diag: DiagonalIsing, gamma_value: float) -> np.ndarray:
-    """Ground vector of H(Gamma) from matrix-free Lanczos, with diagonalize's
-    gap check and phase convention. Dimensions <= 4 go through diagonalize:
-    eigsh cannot take k = 2 at dimension 2, and dense is cheaper there."""
-    if diag.n_spins <= 2:
-        return diagonalize(diag, gamma_value).ground_state
-    vals, vecs = _lanczos_lowest(diag, gamma_value, 2)
-    _check_gap(vals[1] - vals[0], gamma_value)
-    return _fix_phase(vecs[:, 0])
-
-
-def _check_gap(gap: float, gamma_value: float) -> None:
-    if gamma_value > 0 and gap < DEGENERACY_TOL:
-        raise GapAnomalyError(
-            f"gap {gap:.3e} below degeneracy tolerance at Gamma={gamma_value:g} > 0"
-        )
-
-
-def eigh_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a real symmetric C-ordered matrix, ascending, from
-    one direct LAPACK dsyevd call; h is overwritten.
-
-    Skips scipy.linalg.eigh's argument checks and driver dispatch, which on
-    the smallest matrices cost more than the decomposition itself.
-    """
-    # h.T is the same symmetric matrix in Fortran order, so LAPACK works in place.
-    w, v, info = dsyevd(h.T, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
-    return w, v
-
-
-def dense_ground_state(h: np.ndarray, gamma_value: float) -> np.ndarray:
-    """Ground vector of the dense h = H(Gamma) through eigh_dense (h is
-    overwritten), with diagonalize's gap check and phase convention."""
-    w, v = eigh_dense(h)
-    _check_gap(w[1] - w[0], gamma_value)
-    return _fix_phase(v[:, 0])
 
 
 def check_ising_nondegenerate(diag: DiagonalIsing, tol: float = DEGENERACY_TOL) -> None:
@@ -209,13 +177,7 @@ def check_ising_nondegenerate(diag: DiagonalIsing, tol: float = DEGENERACY_TOL) 
         )
 
 
-def gap_profile(
-    problem: IsingProblem,
-    schedule: Schedule,
-    t_grid,
-    *,
-    keep_vectors: bool = False,
-) -> list[SpectrumSnapshot]:
+def gap_profile(problem: IsingProblem, schedule: Schedule, t_grid) -> list[SpectrumSnapshot]:
     """Snapshots along the schedule at the given (monotone, nonnegative) times."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -224,12 +186,7 @@ def gap_profile(
         raise ValidationError("t_grid must be nonnegative and monotone nondecreasing")
     diag = build_diagonal(problem)
     check_ising_nondegenerate(diag)
-    return [
-        diagonalize(
-            diag, schedule.gamma(t), t=t, want_vector=keep_vectors
-        )
-        for t in t_grid
-    ]
+    return [diagonalize(diag, schedule.gamma(t), t=t, want_vector=False) for t in t_grid]
 
 
 def profile_to_csv(snapshots: Sequence[SpectrumSnapshot], path) -> None:

@@ -216,6 +216,7 @@ _ONE_SPIN = {"n_spins": 1, "terms": [{"sites": [0], "j": 1.0}]}
             {"problem": _ONE_SPIN, "schedule": _schedule_json(n=1), "integrator": {"steps": 10}},
             "'steps'",
         ),
+        ("fit-gap", {"ensemble": {"seeds": [0, 1]}}, "'sizes'"),
     ],
 )
 def test_malformed_config_names_the_key_and_exits_2(tmp_path, capsys, verb, config, key):

@@ -341,10 +341,11 @@ def test_gap_profile_csv_holds_the_gap_curves_samples(tmp_path):
 
 
 def test_measured_run_solves_each_gamma_once(tmp_path, monkeypatch):
-    gammas, curve_gammas, curves, grid_sizes = [], [], [], []
+    gammas, curve_gammas, curves, grid_sizes, trajectories = [], [], [], [], []
     solve = spectrum.diagonalize
     build_curve = experiment.build_gap_curve
     scan_grid = bound.instance_gap_constant
+    run_evolve = experiment.evolve
 
     def counting_diagonalize(diag, gamma_value, *args, **kwargs):
         gammas.append(float(gamma_value))
@@ -360,14 +361,22 @@ def test_measured_run_solves_each_gamma_once(tmp_path, monkeypatch):
         grid_sizes.append(len(grid))
         return scan_grid(problem, grid)
 
+    def keep_trajectory(*args, **kwargs):
+        trajectories.append(run_evolve(*args, **kwargs))
+        return trajectories[-1]
+
     monkeypatch.setattr(spectrum, "diagonalize", counting_diagonalize)
     monkeypatch.setattr(dynamics, "diagonalize", counting_diagonalize)
     monkeypatch.setattr(experiment, "build_gap_curve", keep_curve)
     monkeypatch.setattr(bound, "instance_gap_constant", count_grid)
+    monkeypatch.setattr(experiment, "evolve", keep_trajectory)
     manifest = run_experiment(ExperimentConfig(raw=_measured_config()), out_dir=str(tmp_path))
     assert manifest.all_ok
-    assert len(curves) == 1 and grid_sizes
-    assert len(gammas) == curves[0].n_evaluations + sum(grid_sizes)
+    assert len(curves) == 1 and grid_sizes and len(trajectories) == 1
+    # the initial state, then one solve per trajectory row
+    assert len(gammas) == (
+        curves[0].n_evaluations + sum(grid_sizes) + 1 + trajectories[0].times.size
+    )
     # no gap-curve node is solved twice (the bound's Gamma grid may share
     # its top end, Gamma(0), with the curve's first node)
     assert len(curve_gammas) == curves[0].n_evaluations == len(set(curve_gammas))
