@@ -17,6 +17,7 @@ from annealbound import (
     evolve,
     generate_random_problem,
 )
+from annealbound.schedule import T_MAX_K
 
 
 def main() -> int:
@@ -25,7 +26,7 @@ def main() -> int:
     ap.add_argument("--n-spins", type=int, default=2)
     ap.add_argument("--g0", type=float, default=0.125)
     ap.add_argument("--c", type=float, default=2.0)
-    ap.add_argument("--t-max-k", type=float, default=10.0)
+    ap.add_argument("--t-max-k", type=float, default=T_MAX_K)
     ap.add_argument("--deltas", type=float, nargs="+", default=[1e-2, 1e-3])
     ap.add_argument("--gap-mode", choices=["measured", "bounded", "unit"], default="measured")
     ap.add_argument("--out", default="runs/delta_sweep_script")
@@ -37,7 +38,7 @@ def main() -> int:
         schedule = Schedule(
             delta=delta, c=args.c, g=ConstantG(args.g0), n_spins=args.n_spins
         )
-        t_max = args.t_max_k / delta
+        t_max = schedule.horizon(t_max_k=args.t_max_k)
         traj = evolve(problem, schedule, IntegratorConfig(max_time=t_max))
         report = evaluate_bound(
             problem, schedule, t_max=t_max, gap_mode=args.gap_mode

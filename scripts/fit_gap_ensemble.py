@@ -19,7 +19,7 @@ def main() -> int:
     ap.add_argument("--sizes", type=int, nargs="+", default=[2, 3, 4, 5, 6])
     ap.add_argument("--seeds-per-size", type=int, default=2)
     ap.add_argument("--seed0", type=int, default=0)
-    ap.add_argument("--k-max", type=int, default=2)
+    ap.add_argument("--k-max", type=int, default=None, help="default min(N, 2)")
     ap.add_argument("--grid-lo", type=float, default=0.01)
     ap.add_argument("--grid-hi", type=float, default=2.0)
     ap.add_argument("--grid-points", type=int, default=64)

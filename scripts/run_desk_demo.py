@@ -20,6 +20,7 @@ from annealbound import (
     generate_random_problem,
     trajectory_to_csv,
 )
+from annealbound.schedule import T_MAX_K
 
 
 def main() -> int:
@@ -29,7 +30,7 @@ def main() -> int:
     ap.add_argument("--delta", type=float, default=1e-3)
     ap.add_argument("--c", type=float, default=2.0)
     ap.add_argument("--g0", type=float, default=None, help="defaults to 1/(4N)")
-    ap.add_argument("--t-max-k", type=float, default=10.0)
+    ap.add_argument("--t-max-k", type=float, default=T_MAX_K)
     ap.add_argument("--out", default="runs/demo")
     args = ap.parse_args()
 
@@ -37,7 +38,7 @@ def main() -> int:
     g0 = args.g0 if args.g0 is not None else 1.0 / (4 * n)
     problem = generate_random_problem(seed=args.seed, n_spins=n)
     schedule = Schedule(delta=args.delta, c=args.c, g=ConstantG(g0), n_spins=n)
-    t_max = args.t_max_k / args.delta
+    t_max = schedule.horizon(t_max_k=args.t_max_k)
 
     print(f"instance: seed {args.seed}, N={n}, {len(problem.terms)} terms")
     print(f"schedule: Gamma = ({args.delta:g} t + {args.c:g})^(-{g0:g}), T = {t_max:g}")

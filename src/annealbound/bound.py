@@ -26,11 +26,13 @@ from .errors import ConfigError, GapAnomalyError, ProvenanceMismatchError, Valid
 from .ising import IsingProblem
 from .provenance import pair_hash
 from .quadrature import adaptive_integrate, cumulative_at, log_clock_edges
-from .schedule import T_MAX_K, ConditionCertificate, Schedule, certify
+from .schedule import ENVELOPE_L, T_MAX_K, ConditionCertificate, Schedule, certify
 from .spectrum import GapBoundFit, GapCurve, build_gap_curve, instance_gap_constant
 
 GAP_MODES = ("measured", "bounded", "unit")
 QUAD_ABS_TOL = 1e-10
+# Initial quadrature panels on [0, t_max], before adaptive refinement.
+QUAD_PANELS = 1000
 
 
 def derivative_norms(schedule: Schedule, t):
@@ -202,10 +204,7 @@ class _BoundCore:
     the gap model, both integrands, the panel edges (log-clock edges plus the
     checkpoints), both quadratures and the initial slope term."""
 
-    def __init__(
-        self, problem, schedule, checkpoints, gap_mode, quadrature_points, fit, curve,
-        *, need_a,
-    ):
+    def __init__(self, problem, schedule, checkpoints, gap_mode, fit, curve, *, need_a):
         if problem.n_spins != schedule.n_spins:
             raise ValidationError(
                 f"problem has {problem.n_spins} spins but schedule was built for "
@@ -213,17 +212,15 @@ class _BoundCore:
             )
         if gap_mode not in GAP_MODES:
             raise ConfigError(f"gap_mode must be one of {GAP_MODES}, got {gap_mode!r}")
-        if quadrature_points < 2:
-            raise ValidationError("quadrature_points must be >= 2")
         t_max = float(checkpoints[-1])
         self.gap_fn, self.a_used, self.a_source, self.extras = _gap_model(
             problem, schedule, t_max, gap_mode, fit, curve, need_a
         )
         self.f2, self.f1 = _integrands(schedule, self.gap_fn)
         if schedule.delta > 0:
-            base = log_clock_edges(schedule.delta, schedule.c, t_max, quadrature_points)
+            base = log_clock_edges(schedule.delta, schedule.c, t_max, QUAD_PANELS)
         else:
-            base = np.linspace(0.0, t_max, quadrature_points + 1)
+            base = np.linspace(0.0, t_max, QUAD_PANELS + 1)
         self.edges = np.unique(np.concatenate([base, checkpoints]))
         self.res2 = adaptive_integrate(self.f2, self.edges, abs_tol=QUAD_ABS_TOL)
         self.res1 = adaptive_integrate(self.f1, self.edges, abs_tol=QUAD_ABS_TOL)
@@ -235,12 +232,11 @@ def evaluate_bound(
     schedule: Schedule,
     t_max: float | None = None,
     gap_mode: str = "measured",
-    quadrature_points: int = 1000,
     *,
     certificate: ConditionCertificate | None = None,
     fit: GapBoundFit | None = None,
     curve: GapCurve | None = None,
-    l: float = 0.5,
+    l: float = ENVELOPE_L,
     t_max_k: float = T_MAX_K,
     tails: bool = True,
 ) -> BoundReport:
@@ -254,12 +250,7 @@ def evaluate_bound(
     of 0 and the total is a finite-horizon quantity.
     """
     delta, c, n = schedule.delta, schedule.c, schedule.n_spins
-    if t_max is None:
-        if delta == 0.0:
-            raise ValidationError("t_max required when delta = 0")
-        t_max = t_max_k / delta
-    if not (t_max > 0):
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    t_max = schedule.horizon(t_max, t_max_k)
 
     certified = False
     if tails:
@@ -271,9 +262,7 @@ def evaluate_bound(
             )
         certified = True
 
-    core = _BoundCore(
-        problem, schedule, [t_max], gap_mode, quadrature_points, fit, curve, need_a=True
-    )
+    core = _BoundCore(problem, schedule, [t_max], gap_mode, fit, curve, need_a=True)
     gap_t, term_limit_proxy = _slope_term(schedule, core.gap_fn, t_max)
 
     if certified:
@@ -345,7 +334,6 @@ def finite_time_rhs(
     schedule: Schedule,
     checkpoints,
     gap_mode: str = "measured",
-    quadrature_points: int = 1000,
     *,
     fit: GapBoundFit | None = None,
     curve: GapCurve | None = None,
@@ -361,9 +349,7 @@ def finite_time_rhs(
     pts = np.atleast_1d(np.asarray(checkpoints, dtype=float))
     if pts.size == 0 or np.any(pts <= 0) or np.any(np.diff(pts) < 0):
         raise ValidationError("checkpoints must be positive and sorted ascending")
-    core = _BoundCore(
-        problem, schedule, pts, gap_mode, quadrature_points, fit, curve, need_a=False
-    )
+    core = _BoundCore(problem, schedule, pts, gap_mode, fit, curve, need_a=False)
     cum2 = cumulative_at(core.f2, core.res2, pts)
     cum1 = cumulative_at(core.f1, core.res1, pts)
     term_current = np.array([_slope_term(schedule, core.gap_fn, t)[1] for t in pts])

@@ -2,8 +2,9 @@
 
 Verbs: certify, spectrum, evolve, bound, run, fit-gap, reparam. Every verb
 reads a JSON config (--config), writes its artifacts under --out, and prints
-a one-line summary. Exit codes: 0 success, 1 a run or certificate failed,
-2 the config or inputs were invalid.
+a one-line summary. A verb passes on only the settings its config sets, so
+every default is the library's own. Exit codes: 0 success, 1 a run or
+certificate failed, 2 the config or inputs were invalid.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from .bound import GAP_MODES, evaluate_bound, integrand_samples_to_csv
 from .dynamics import IntegratorConfig, evolve, trajectory_sidecar, trajectory_to_csv
 from .errors import ConfigError, ValidationError
-from .experiment import ExperimentConfig, _write_json, generate_random_problem, run_experiment
+from .experiment import (
+    ExperimentConfig, _config_horizon, _write_json, generate_random_problem, run_experiment,
+)
 from .ising import IsingProblem
 from .quadrature import log_clock_edges
 from .reparam import build_reparam_map, s_function_from_json
@@ -42,14 +45,15 @@ def _entry(data: dict, key: str):
     return data[key]
 
 
+def _given(values: dict, *names) -> dict:
+    """The entries among `names` that `values` (a config, or the parsed flags
+    as vars(args)) sets; None counts as not set."""
+    return {k: values[k] for k in names if values.get(k) is not None}
+
+
 def _time_grid(spec: dict, schedule: Schedule) -> np.ndarray:
     lo = spec.get("lo", 0.0)
-    if "hi" in spec:
-        hi = spec["hi"]
-    elif schedule.delta > 0:
-        hi = T_MAX_K / schedule.delta
-    else:
-        raise ConfigError("t_grid needs an explicit 'hi' when delta = 0")
+    hi = _config_horizon(schedule, spec.get("hi"), "/t_grid/hi")
     points = spec.get("points", 200)
     spacing = spec.get("spacing", "log_u" if schedule.delta > 0 else "linear")
     if spacing == "linear":
@@ -59,11 +63,6 @@ def _time_grid(spec: dict, schedule: Schedule) -> np.ndarray:
     raise ConfigError(f"unknown t_grid spacing {spacing!r}")
 
 
-def _t_max_k(args) -> float:
-    """--t-max-k, or the horizon constant T_MAX_K when the flag is not given."""
-    return T_MAX_K if args.t_max_k is None else args.t_max_k
-
-
 def _schedule_from(data: dict) -> Schedule:
     return Schedule.from_json(data["schedule"] if "schedule" in data else data)
 
@@ -71,14 +70,7 @@ def _schedule_from(data: dict) -> Schedule:
 def cmd_certify(args) -> int:
     data = _load_json(args.config)
     schedule = _schedule_from(data)
-    cert = certify(
-        schedule,
-        horizon=data.get("horizon"),
-        grid_points=data.get("grid_points", 10_000),
-        l=data.get("l", 0.5),
-        c_prime=data.get("c_prime"),
-        c_double_prime=data.get("c_double_prime"),
-    )
+    cert = certify(schedule, **_given(data, "horizon", "l", "c_prime", "c_double_prime"))
     _write_json(os.path.join(args.out, "certificate.json"), cert.to_json())
     if cert.passed:
         print(
@@ -116,11 +108,11 @@ def cmd_evolve(args) -> int:
     unknown = sorted(set(integ_data) - {f.name for f in fields(IntegratorConfig)})
     if unknown:
         raise ConfigError(f"unknown integrator key {unknown[0]!r}")
-    if integ_data.get("max_time") is None:
-        if schedule.delta == 0:
-            raise ConfigError("integrator.max_time required when delta = 0")
-        integ_data = dict(integ_data, max_time=_t_max_k(args) / schedule.delta)
-    config = IntegratorConfig(**integ_data)
+    max_time = _config_horizon(
+        schedule, integ_data.get("max_time"), "/integrator/max_time",
+        **_given(vars(args), "t_max_k"),
+    )
+    config = IntegratorConfig(**{**integ_data, "max_time": max_time})
     record = evolve(problem, schedule, config)
     _write_json(
         os.path.join(args.out, "trajectory.json"),
@@ -140,16 +132,11 @@ def cmd_bound(args) -> int:
     data = _load_json(args.config)
     problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
-    report = evaluate_bound(
-        problem,
-        schedule,
-        t_max=data.get("t_max"),
-        gap_mode=args.gap_mode or data.get("gap_mode", "measured"),
-        quadrature_points=data.get("quadrature_points", 1000),
-        l=data.get("l", 0.5),
-        t_max_k=_t_max_k(args),
-        tails=data.get("tails", True),
-    )
+    settings = {
+        **_given(data, "t_max", "gap_mode", "l", "tails"),
+        **_given(vars(args), "gap_mode", "t_max_k"),
+    }
+    report = evaluate_bound(problem, schedule, **settings)
     _write_json(os.path.join(args.out, "bound_report.json"), report.to_json())
     integrand_samples_to_csv(report, os.path.join(args.out, "integrand_samples.csv"))
     print(
@@ -163,14 +150,17 @@ def cmd_bound(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # Each flag edits the config as written, and the edited config is
+    # validated by the same schema, so a flag and a config key that set the
+    # same value behave alike and both enter the manifest's config_hash.
     config = ExperimentConfig.from_file(args.config)
+    raw = {**config.raw, **_given(vars(args), "gap_mode", "t_max_k")}
+    if args.seed is not None:
+        if "random" not in raw["problem"]:
+            raise ConfigError("--seed sets problem.random.seed, but the problem is not 'random'")
+        raw["problem"] = {"random": {**raw["problem"]["random"], "seed": args.seed}}
     manifest = run_experiment(
-        config,
-        out_dir=args.out,
-        jobs=args.jobs,
-        seed_override=args.seed,
-        gap_mode_override=args.gap_mode,
-        t_max_k_override=args.t_max_k,
+        ExperimentConfig(raw, config.base_dir), out_dir=args.out, jobs=args.jobs
     )
     for run in manifest.runs:
         tag = "ok " if run["ok"] else "FAIL"
@@ -195,14 +185,9 @@ def cmd_fit_gap(args) -> int:
         seeds = _entry(ens, "seeds")
         if args.seed is not None:
             seeds = [args.seed + i for i in range(len(seeds))]
+        shape = _given(ens, "k_max", "field_scale", "coupling_scale")
         problems = [
-            generate_random_problem(
-                seed=seed,
-                n_spins=n,
-                k_max=ens.get("k_max", 2),
-                field_scale=ens.get("field_scale", 0.5),
-                coupling_scale=ens.get("coupling_scale", 1.0),
-            )
+            generate_random_problem(seed=seed, n_spins=n, **shape)
             for n in _entry(ens, "sizes")
             for seed in seeds
         ]
@@ -248,16 +233,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
-        "--seed": dict(type=int, default=None, help="override config seeds"),
+        "--seed": dict(
+            type=int, default=None,
+            help="run: set problem.random.seed; fit-gap: use seeds SEED, SEED+1, ...",
+        ),
         "--jobs": dict(type=int, default=1, help="worker processes for sweeps"),
         "--gap-mode": dict(
             choices=GAP_MODES, default=None,
-            help="override the gap model used in bound integrands",
+            help="set the gap model used in the bound integrands (config gap_mode)",
         ),
         "--t-max-k": dict(
             type=float, default=None,
             help="horizon T_max = K/delta when max_time is not set "
-            f"(overrides the config's t_max_k; default {T_MAX_K:g})",
+            f"(config t_max_k; default {T_MAX_K:g})",
         ),
     }
     commands = {

@@ -12,18 +12,17 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .bound import compare, evaluate_bound, integrand_samples_to_csv
+from .bound import QUAD_PANELS, compare, evaluate_bound, integrand_samples_to_csv
 from .dynamics import IntegratorConfig, evolve, trajectory_sidecar, trajectory_to_csv
 from .errors import ConfigError, ValidationError
 from .ising import IsingProblem, build_diagonal
@@ -63,6 +62,7 @@ CONFIG_SCHEMA = {
         "schedule": {
             "type": "object",
             "required": ["delta", "c", "n_spins", "g"],
+            "additionalProperties": False,
             "properties": {
                 "delta": {"type": "number", "minimum": 0},
                 "c": {"type": "number", "exclusiveMinimum": 0},
@@ -83,14 +83,10 @@ CONFIG_SCHEMA = {
         "gap_mode": {"enum": ["measured", "bounded", "unit"]},
         "tails": {"type": "boolean"},
         "t_max_k": {"type": "number", "exclusiveMinimum": 0},
-        "quadrature_points": {"type": "integer", "minimum": 2},
         "certify": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "l": {"type": "number", "exclusiveMinimum": 0},
-                "grid_points": {"type": "integer", "minimum": 2},
-            },
+            "properties": {"l": {"type": "number", "exclusiveMinimum": 0}},
         },
         "sweep": {
             "type": "object",
@@ -102,7 +98,6 @@ CONFIG_SCHEMA = {
             },
         },
         "out_dir": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -117,6 +112,10 @@ def validate_config(data: dict) -> None:
         raise ConfigError(f"config invalid at {pointer}: {err.message}")
 
 
+# Draws generate_random_problem makes before it gives up on a degenerate instance.
+RANDOM_PROBLEM_DRAWS = 100
+
+
 def generate_random_problem(
     seed: int,
     n_spins: int,
@@ -124,7 +123,6 @@ def generate_random_problem(
     *,
     field_scale: float = 0.5,
     coupling_scale: float = 1.0,
-    max_retries: int = 100,
 ) -> IsingProblem:
     """Random instance with every k-body coupling up to k_max populated.
 
@@ -139,7 +137,7 @@ def generate_random_problem(
     if not (1 <= k_max <= n_spins):
         raise ValidationError(f"k_max must be in [1, {n_spins}], got {k_max}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(RANDOM_PROBLEM_DRAWS):
         terms = [
             ((i,), float(rng.uniform(-field_scale, field_scale)))
             for i in range(n_spins)
@@ -152,7 +150,7 @@ def generate_random_problem(
         if energies[1] - energies[0] >= 1e-6:
             return problem
     raise RuntimeError(
-        f"no nondegenerate instance after {max_retries} draws; "
+        f"no nondegenerate instance after {RANDOM_PROBLEM_DRAWS} draws; "
         "increase field_scale to break the degeneracy"
     )
 
@@ -166,9 +164,7 @@ class RunSpec:
     gap_mode: str
     tails: bool
     t_max: float
-    quadrature_points: int
-    certify_l: float
-    certify_grid_points: int
+    certify: dict
     labels: dict
     run_hash: str
     out_dir: str
@@ -188,43 +184,21 @@ class ExperimentConfig:
             data = json.load(fh)
         return cls(raw=data, base_dir=os.path.dirname(os.path.abspath(path)))
 
-    def _resolve_problem(self, spec: dict, seed_override: int | None) -> IsingProblem:
+    def _resolve_problem(self, spec: dict) -> IsingProblem:
         if "inline" in spec:
             return IsingProblem.from_json(spec["inline"])
         if "file" in spec:
             path = os.path.join(self.base_dir, spec["file"])
             with open(path) as fh:
                 return IsingProblem.from_json(json.load(fh))
-        rnd = spec["random"]
-        return generate_random_problem(
-            seed=seed_override if seed_override is not None else rnd["seed"],
-            n_spins=rnd["n_spins"],
-            k_max=rnd.get("k_max"),
-            field_scale=rnd.get("field_scale", 0.5),
-            coupling_scale=rnd.get("coupling_scale", 1.0),
-        )
+        # The schema's keys are generate_random_problem's parameter names.
+        return generate_random_problem(**spec["random"])
 
-    def expand(
-        self,
-        out_dir: str,
-        *,
-        seed_override: int | None = None,
-        gap_mode_override: str | None = None,
-        t_max_k_override: float | None = None,
-    ) -> list[RunSpec]:
+    def expand(self, out_dir: str) -> list[RunSpec]:
         raw = self.raw
-        gap_mode = (
-            gap_mode_override if gap_mode_override is not None
-            else raw.get("gap_mode", "measured")
-        )
+        gap_mode = raw.get("gap_mode", "measured")
         tails = raw.get("tails", True)
-        t_max_k = t_max_k_override if t_max_k_override is not None else raw.get("t_max_k", T_MAX_K)
-        quad_points = raw.get("quadrature_points", 1000)
-        cert_cfg = raw.get("certify", {})
-        integ_base = {
-            "max_time": None, "dt": None, "record_stride": None,
-            "norm_tolerance": 1e-8, **raw.get("integrator", {}),
-        }
+        integ_raw = raw.get("integrator", {})
 
         sweep = raw.get("sweep", {})
         axes = [(name, sweep[name]) for name in ("delta", "n_spins", "g0") if name in sweep]
@@ -252,35 +226,35 @@ class ExperimentConfig:
                 prob_spec["random"]["n_spins"] = labels["n_spins"]
                 sched_json["n_spins"] = labels["n_spins"]
 
-            problem = self._resolve_problem(prob_spec, seed_override)
+            problem = self._resolve_problem(prob_spec)
             schedule = Schedule.from_json(sched_json)
             if problem.n_spins != schedule.n_spins:
                 raise ConfigError(
                     f"config invalid at /schedule/n_spins: schedule says "
                     f"{schedule.n_spins}, problem has {problem.n_spins}"
                 )
-            delta = schedule.delta
-            t_max = integ_base["max_time"]
-            if t_max is None:
-                if delta == 0:
-                    raise ConfigError(
-                        "config invalid at /integrator/max_time: required when delta = 0"
-                    )
-                t_max = t_max_k / delta
-            if tails and delta == 0:
+            t_max = float(_config_horizon(
+                schedule, integ_raw.get("max_time"), "/integrator/max_time",
+                raw.get("t_max_k", T_MAX_K),
+            ))
+            if tails and schedule.delta == 0:
                 raise ConfigError(
                     "config invalid at /tails: analytic tails need delta > 0"
                 )
 
-            integ = dict(integ_base, max_time=float(t_max))
+            integ = IntegratorConfig(**{**integ_raw, "max_time": t_max}).to_json()
+            # The certify block enters the hash only when present, and the
+            # fixed panel count stays in it, so older run directories keep
+            # their names.
             run_hash = content_hash({
                 "problem": problem.to_json(),
                 "schedule": schedule.to_json(),
                 "integrator": integ,
                 "gap_mode": gap_mode,
                 "tails": tails,
-                "t_max": float(t_max),
-                "quadrature_points": quad_points,
+                "t_max": t_max,
+                "quadrature_points": QUAD_PANELS,
+                **({"certify": raw["certify"]} if "certify" in raw else {}),
             })
             specs.append(RunSpec(
                 index=index,
@@ -289,15 +263,22 @@ class ExperimentConfig:
                 integrator=integ,
                 gap_mode=gap_mode,
                 tails=tails,
-                t_max=float(t_max),
-                quadrature_points=quad_points,
-                certify_l=cert_cfg.get("l", 0.5),
-                certify_grid_points=cert_cfg.get("grid_points", 10_000),
+                t_max=t_max,
+                certify=raw.get("certify", {}),
                 labels=labels,
                 run_hash=run_hash,
                 out_dir=os.path.join(out_dir, run_hash[:12]),
             ))
         return specs
+
+
+def _config_horizon(schedule: Schedule, t_max, pointer: str, t_max_k: float = T_MAX_K) -> float:
+    """Schedule.horizon for a config setting: a missing or invalid horizon is
+    a ConfigError at the JSON pointer of the setting that should give it."""
+    try:
+        return schedule.horizon(t_max, t_max_k)
+    except ValidationError as exc:
+        raise ConfigError(f"config invalid at {pointer}: {exc}") from exc
 
 
 def _write_json(path: str, data: dict) -> None:
@@ -329,10 +310,7 @@ def _execute_run(spec: RunSpec) -> dict:
 
         cert = None
         if schedule.delta > 0:
-            cert = certify(
-                schedule, horizon=spec.t_max,
-                grid_points=spec.certify_grid_points, l=spec.certify_l,
-            )
+            cert = certify(schedule, horizon=spec.t_max, **spec.certify)
             _write_json(emit("certificate.json"), cert.to_json())
         if spec.tails and (cert is None or not cert.passed):
             reason = "delta = 0" if cert is None else cert.reason
@@ -356,11 +334,11 @@ def _execute_run(spec: RunSpec) -> dict:
             # constant Gamma has a constant gap; the power-law lower bound
             # machinery handles it without a log-clock profile
             gap_mode = "bounded"
+        # Tails get a passed certificate; without tails l is never read.
         report = evaluate_bound(
             problem, schedule, t_max=spec.t_max, gap_mode=gap_mode,
-            quadrature_points=spec.quadrature_points,
             certificate=cert if (cert is not None and cert.passed) else None,
-            curve=curve, tails=spec.tails, l=spec.certify_l,
+            curve=curve, tails=spec.tails,
         )
         _write_json(emit("bound_report.json"), report.to_json())
         integrand_samples_to_csv(report, emit("integrand_samples.csv"))
@@ -446,22 +424,11 @@ round differently with a different number of threads.
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    out_dir: str | None = None,
-    jobs: int = 1,
-    *,
-    seed_override: int | None = None,
-    gap_mode_override: str | None = None,
-    t_max_k_override: float | None = None,
+    config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1
 ) -> RunManifest:
     started = time.perf_counter()
     out_dir = os.path.abspath(out_dir or config.raw.get("out_dir", "runs"))
-    specs = config.expand(
-        out_dir,
-        seed_override=seed_override,
-        gap_mode_override=gap_mode_override,
-        t_max_k_override=t_max_k_override,
-    )
+    specs = config.expand(out_dir)
     if jobs > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_execute_run, specs))

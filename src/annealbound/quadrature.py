@@ -35,6 +35,9 @@ _GK15 = np.array([
 _NODES = _GK15[:, 0]
 _W_GAUSS = _GK15[:, 1]
 _W_KRONROD = _GK15[:, 2]
+# Refinement stops after this many rounds, or once this many panels exist.
+MAX_ROUNDS = 30
+MAX_PANELS = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +72,7 @@ def _gk_batch(f, lo: np.ndarray, hi: np.ndarray):
     return kron, np.abs(kron - gauss)
 
 
-def adaptive_integrate(
-    f,
-    edges,
-    *,
-    abs_tol: float = 1e-10,
-    max_panels: int = 200_000,
-    max_rounds: int = 30,
-) -> QuadratureResult:
+def adaptive_integrate(f, edges, *, abs_tol: float = 1e-10) -> QuadratureResult:
     """Integrate f over [edges[0], edges[-1]] starting from the given panels.
 
     Rounds of refinement bisect every panel whose error exceeds its fair
@@ -92,8 +88,8 @@ def adaptive_integrate(
     lo, hi = edges[:-1].copy(), edges[1:].copy()
     vals, errs = _gk_batch(f, lo, hi)
     n_eval = 15 * lo.size
-    for _ in range(max_rounds):
-        if errs.sum() <= abs_tol or lo.size >= max_panels:
+    for _ in range(MAX_ROUNDS):
+        if errs.sum() <= abs_tol or lo.size >= MAX_PANELS:
             break
         split = errs > abs_tol / (2.0 * lo.size)
         if not split.any():

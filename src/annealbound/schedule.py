@@ -29,8 +29,12 @@ from .errors import ValidationError
 from .quadrature import log_clock_edges
 
 # Horizon constant K: runs, bounds and certificates that are given no horizon
-# stop at T_max = K/delta.
+# stop at T_max = K/delta (Schedule.horizon).
 T_MAX_K = 10.0
+# Default exponent l of the first-derivative envelope |g'| <= delta c'/u^(1+l).
+ENVELOPE_L = 0.5
+# Points of the log-clock grid on which certify checks the conditions.
+CERT_GRID_POINTS = 10_000
 
 
 def scalar_or_array(out, like):
@@ -221,6 +225,18 @@ class Schedule:
         gam = self.gamma(np.linspace(0.0, t_max, 4097))
         return float(np.min(gam)), float(np.max(gam))
 
+    def horizon(self, t_max: float | None = None, t_max_k: float = T_MAX_K) -> float:
+        """The horizon of a run, bound or certificate: t_max when given, else
+        T_max = K/delta, past which the analytic tails take over. A frozen
+        schedule (delta = 0) has no default horizon."""
+        if t_max is None:
+            if self.delta == 0.0:
+                raise ValidationError("horizon required when delta = 0")
+            t_max = t_max_k / self.delta
+        if not (t_max > 0):
+            raise ValidationError(f"horizon must be positive, got {t_max}")
+        return t_max
+
     def to_json(self) -> dict:
         return {
             "delta": self.delta,
@@ -294,42 +310,53 @@ class ConditionCertificate:
         return cls(**data)
 
 
+def _envelope_constant(ratio, given, t, which: str):
+    """(constant, failure reason or None, offending t) of one derivative
+    envelope ratio <= constant on the grid t. With `given` None the constant
+    is the grid maximum, which fails while it is still growing at the horizon,
+    since the grid then says nothing about larger t; else `given` is checked
+    pointwise and the first violating grid time is reported."""
+    if given is None:
+        const = float(np.max(ratio))
+        if const > 0 and ratio[-1] >= const * (1 - 1e-12) and ratio[-1] > ratio[-2] * (1 + 1e-12):
+            return const, f"{which}-derivative envelope constant still growing at horizon", t[-1]
+        return const, None, None
+    const = float(given)
+    bad = ratio > const * (1 + 1e-12)
+    if np.any(bad):
+        off = t[bad][0]
+        return const, f"{which}-derivative envelope violated at t={off:g}", off
+    return const, None, None
+
+
 def certify(
     schedule: Schedule,
     horizon: float | None = None,
-    grid_points: int = 10_000,
     *,
-    l: float = 0.5,
+    l: float = ENVELOPE_L,
     c_prime: float | None = None,
     c_double_prime: float | None = None,
 ) -> ConditionCertificate:
-    """Check the convergence conditions for this schedule on [0, horizon].
+    """Check the convergence conditions for this schedule on [0, horizon],
+    on a grid of CERT_GRID_POINTS times.
 
     When c_prime / c_double_prime are omitted, the smallest constants making
     the derivative envelopes hold on the grid are computed and reported; an
-    envelope whose required constant is still growing at the horizon fails,
-    since the grid then says nothing about larger t. When they are given, the
-    envelopes are checked pointwise and the first violating grid time is
-    reported. horizon defaults to T_MAX_K/delta.
+    envelope whose required constant is still growing at the horizon fails.
+    When they are given, the envelopes are checked pointwise and the first
+    violating grid time is reported. horizon defaults to Schedule.horizon().
     """
     if not (l > 0):
         raise ValidationError(f"l must be positive, got {l}")
-    if grid_points < 2:
-        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
-    if horizon is None:
-        if schedule.delta == 0.0:
-            raise ValidationError("horizon required when delta = 0")
-        horizon = T_MAX_K / schedule.delta
-    if not (horizon > 0):
-        raise ValidationError(f"horizon must be positive, got {horizon}")
+    horizon = schedule.horizon(horizon)
 
     delta, c, n = schedule.delta, schedule.c, schedule.n_spins
     if delta > 0:
-        t = log_clock_edges(delta, c, horizon, grid_points - 1)
+        t = log_clock_edges(delta, c, horizon, CERT_GRID_POINTS - 1)
     else:
-        t = np.linspace(0.0, horizon, grid_points)
+        t = np.linspace(0.0, horizon, CERT_GRID_POINTS)
     u = delta * t + c
-    grid_desc = {"kind": "log_u" if delta > 0 else "linear", "points": int(grid_points), "horizon": float(horizon)}
+    grid_desc = {"kind": "log_u" if delta > 0 else "linear", "points": CERT_GRID_POINTS, "horizon": float(horizon)}
     m = _m_value(delta, c, l)
     l_cap = 1.0 / (3 * n - 2)
 
@@ -378,24 +405,10 @@ def certify(
 
     # First-derivative envelope: |g'| * u^(1+l) / delta <= c'.
     ratio1 = np.abs(d1) * np.power(u, 1.0 + l) / delta
-    if c_prime is None:
-        cp = float(np.max(ratio1))
-        if cp > 0 and ratio1[-1] >= cp * (1 - 1e-12) and ratio1[-1] > ratio1[-2] * (1 + 1e-12):
-            return failed(
-                "first-derivative envelope constant still growing at horizon",
-                checks, L=L, g_min=g_min, cp=cp, off_t=t[-1],
-            )
-        checks["deriv1_envelope"] = True
-    else:
-        cp = float(c_prime)
-        bad = ratio1 > cp * (1 + 1e-12)
-        if np.any(bad):
-            off = t[bad][0]
-            return failed(
-                f"first-derivative envelope violated at t={off:g}",
-                checks, L=L, g_min=g_min, cp=cp, off_t=off,
-            )
-        checks["deriv1_envelope"] = True
+    cp, reason, off = _envelope_constant(ratio1, c_prime, t, "first")
+    if reason is not None:
+        return failed(reason, checks, L=L, g_min=g_min, cp=cp, off_t=off)
+    checks["deriv1_envelope"] = True
 
     # Second-derivative envelope: |g''| * u^(1+q) * log(u) / delta^2 <= c''
     # with q = (2N-1)/(3N-2); only meaningful where log(u) > 0.
@@ -410,24 +423,10 @@ def certify(
         )
     ratio2 = np.zeros_like(t)
     ratio2[pos] = np.abs(d2[pos]) * np.power(u[pos], 1.0 + q) * logu[pos] / delta**2
-    if c_double_prime is None:
-        cpp = float(np.max(ratio2))
-        if cpp > 0 and ratio2[-1] >= cpp * (1 - 1e-12) and ratio2[-1] > ratio2[-2] * (1 + 1e-12):
-            return failed(
-                "second-derivative envelope constant still growing at horizon",
-                checks, L=L, g_min=g_min, cp=cp, cpp=cpp, off_t=t[-1],
-            )
-        checks["deriv2_envelope"] = True
-    else:
-        cpp = float(c_double_prime)
-        bad = ratio2 > cpp * (1 + 1e-12)
-        if np.any(bad):
-            off = t[bad][0]
-            return failed(
-                f"second-derivative envelope violated at t={off:g}",
-                checks, L=L, g_min=g_min, cp=cp, cpp=cpp, off_t=off,
-            )
-        checks["deriv2_envelope"] = True
+    cpp, reason, off = _envelope_constant(ratio2, c_double_prime, t, "second")
+    if reason is not None:
+        return failed(reason, checks, L=L, g_min=g_min, cp=cp, cpp=cpp, off_t=off)
+    checks["deriv2_envelope"] = True
 
     gp = np.asarray(schedule.gamma_prime(t), dtype=float)
     checks["gamma_decreasing"] = bool(np.all(gp < 0))

@@ -166,11 +166,11 @@ def _lanczos_lowest(diag: DiagonalIsing, gamma_value: float) -> tuple[np.ndarray
     return vals[order], vecs[:, order]
 
 
-def check_ising_nondegenerate(diag: DiagonalIsing, tol: float = DEGENERACY_TOL) -> None:
+def check_ising_nondegenerate(diag: DiagonalIsing) -> None:
     """The final (Gamma = 0) problem must have a unique ground state."""
     energies = diag.energies
     e0 = float(np.min(energies))
-    hits = np.flatnonzero(energies <= e0 + tol)
+    hits = np.flatnonzero(energies <= e0 + DEGENERACY_TOL)
     if hits.size > 1:
         raise DegenerateGroundStateError(
             [int(z) for z in hits], e0, diag.n_spins

@@ -1,7 +1,6 @@
 """Command-line entry points, driven through main() with explicit argv."""
 
 import json
-import os
 
 import pytest
 
@@ -134,6 +133,110 @@ def test_run_config_t_max_k_wins_unless_flag_given(tmp_path, problem_json):
 
     assert max_time(tmp_path / "config") == pytest.approx(30.0)
     assert max_time(tmp_path / "flag", "--t-max-k", "2") == pytest.approx(20.0)
+
+
+def _run_config(problem, **extra):
+    return {"problem": problem, "schedule": _schedule_json(delta=0.1), **extra}
+
+
+def _manifest(out_dir):
+    return json.loads((out_dir / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "config,flags,needle",
+    [
+        # a top-level seed that nothing reads
+        (_run_config({"random": {"seed": 7, "n_spins": 2}}, seed=99), [], "'seed'"),
+        # a schedule key that nothing reads
+        (
+            {
+                "problem": {"random": {"seed": 7, "n_spins": 2}},
+                "schedule": {**_schedule_json(delta=0.1), "t_max_k": 3.0},
+            },
+            [],
+            "'t_max_k'",
+        ),
+        # --seed on a problem that has no seed
+        (
+            _run_config({"inline": {"n_spins": 1, "terms": [{"sites": [0], "j": 1.0}]}}),
+            ["--seed", "5"],
+            "'random'",
+        ),
+        # a flag value is validated like the config value it edits
+        (_run_config({"random": {"seed": 7, "n_spins": 2}}), ["--t-max-k", "-1"], "/t_max_k"),
+        (_run_config({"random": {"seed": 7, "n_spins": 2}}), ["--t-max-k", "0"], "/t_max_k"),
+    ],
+    ids=["top-level-seed", "schedule-t_max_k", "seed-flag-on-inline", "t-max-k-negative", "t-max-k-zero"],
+)
+def test_run_rejects_settings_it_would_ignore_or_misread(
+    tmp_path, capsys, config, flags, needle
+):
+    cfg = _write(tmp_path, "run.json", config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_seed_flag_edits_the_random_problem(tmp_path):
+    # --seed is problem.random.seed: it changes the problem, the run hash
+    # and the manifest's config hash, exactly as editing the config would.
+    cfg = _write(tmp_path, "run.json", _run_config({"random": {"seed": 7, "n_spins": 2}}))
+    edited = _write(tmp_path, "edited.json", _run_config({"random": {"seed": 8, "n_spins": 2}}))
+    runs = {}
+    for name, argv in {
+        "config": ["--config", cfg],
+        "flag": ["--config", cfg, "--seed", "8"],
+        "edited": ["--config", edited],
+    }.items():
+        assert main(["run", *argv, "--out", str(tmp_path / name)]) == 0
+        manifest = _manifest(tmp_path / name)
+        run = manifest["runs"][0]
+        problem = (tmp_path / name / run["dir"] / "problem.json").read_text()
+        runs[name] = (problem, run["run_hash"], manifest["config_hash"])
+    for a, b in zip(runs["config"], runs["flag"]):
+        assert a != b
+    assert runs["flag"] == runs["edited"]
+
+
+def test_run_hash_covers_the_certify_block(tmp_path):
+    # l enters the certified envelope constants and so the tails: two
+    # configs that differ only in certify.l are two runs, not one.
+    schedule = {
+        **_schedule_json(delta=0.1),
+        "g": {"kind": "power_decay", "g0": 0.1, "g1": 0.05, "l_exp": 0.7},
+    }
+    runs = {}
+    for l in (0.3, 0.6):
+        config = {
+            "problem": {"random": {"seed": 7, "n_spins": 2}},
+            "schedule": schedule,
+            "certify": {"l": l},
+        }
+        out_dir = tmp_path / str(l)
+        assert main(["run", "--config", _write(tmp_path, f"{l}.json", config), "--out", str(out_dir)]) == 0
+        run = _manifest(out_dir)["runs"][0]
+        runs[l] = (run["dir"], run["bound_total"])
+    assert runs[0.3][0] != runs[0.6][0]
+    assert runs[0.3][1] != runs[0.6][1]
+
+
+def test_fit_gap_k_max_defaults_to_the_library_rule(tmp_path, capsys):
+    # With no k_max in the config, each size gets the library's default
+    # min(N, 2), which is 1 at N = 1.
+    cfg = _write(
+        tmp_path,
+        "fit.json",
+        {
+            "ensemble": {"seeds": [0], "sizes": [1, 2, 3]},
+            "gamma_grid": {"lo": 0.05, "hi": 2.0, "points": 8},
+        },
+    )
+    assert main(["fit-gap", "--config", cfg, "--out", str(tmp_path)]) == 0
+    fit = json.loads((tmp_path / "gap_fit.json").read_text())
+    assert sorted(fit["per_size_A"]) == ["1", "2", "3"]
 
 
 def test_fit_gap_from_ensemble(tmp_path, capsys):

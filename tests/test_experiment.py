@@ -162,23 +162,6 @@ def test_expand_sweep_product_and_overrides(tmp_path):
     assert len({s.run_hash for s in specs}) == 4
 
 
-def test_expand_seed_override_changes_random_problem(tmp_path):
-    cfg = _base_config(
-        problem={"random": {"seed": 7, "n_spins": 2}},
-        schedule={
-            "delta": 1e-2,
-            "c": 2.0,
-            "n_spins": 2,
-            "g": {"kind": "constant", "g0": 0.125},
-        },
-    )
-    config = ExperimentConfig(raw=cfg)
-    a = config.expand(str(tmp_path))[0]
-    b = config.expand(str(tmp_path), seed_override=8)[0]
-    assert a.problem != b.problem
-    assert a.run_hash != b.run_hash
-
-
 def test_expand_rejects_size_sweep_on_fixed_problem(tmp_path):
     cfg = _base_config(sweep={"n_spins": [1, 2]})
     config = ExperimentConfig(raw=cfg)
