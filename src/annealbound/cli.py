@@ -3,14 +3,14 @@
 Verbs: certify, spectrum, evolve, bound, run, fit-gap, reparam. Every verb
 reads a JSON config (--config), writes its artifacts under --out, and prints
 a one-line summary. A verb passes on only the settings its config sets, so
-every default is the library's own. Exit codes: 0 success, 1 a run or
-certificate failed, 2 the config or inputs were invalid.
+every default is the library's own, and rejects a top-level config key it
+does not read. Exit codes: 0 success, 1 a run or certificate failed, 2 the
+config or inputs were invalid.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -21,7 +21,8 @@ from .bound import GAP_MODES, evaluate_bound, integrand_samples_to_csv
 from .dynamics import IntegratorConfig, evolve, trajectory_sidecar, trajectory_to_csv
 from .errors import ConfigError, ValidationError
 from .experiment import (
-    ExperimentConfig, _config_horizon, _write_json, generate_random_problem, run_experiment,
+    ExperimentConfig, _config_horizon, _load_json, _write_json, generate_random_problem,
+    run_experiment,
 )
 from .ising import IsingProblem
 from .quadrature import log_clock_edges
@@ -30,12 +31,17 @@ from .schedule import T_MAX_K, Schedule, certify
 from .spectrum import fit_gap_constants, gap_profile, profile_to_csv
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+def _load_config(path: str, *keys: str) -> dict:
+    """The JSON object at path; a top-level key outside `keys` is a ConfigError."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config is not a JSON object")
+    if "schedule" in keys and "schedule" not in data:
+        keys += ("delta", "c", "n_spins", "g")  # a bare schedule's entries
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ConfigError(f"config has unknown key {unknown[0]!r}")
+    return data
 
 
 def _entry(data: dict, key: str):
@@ -68,7 +74,7 @@ def _schedule_from(data: dict) -> Schedule:
 
 
 def cmd_certify(args) -> int:
-    data = _load_json(args.config)
+    data = _load_config(args.config, "schedule", "horizon", "l", "c_prime", "c_double_prime")
     schedule = _schedule_from(data)
     cert = certify(schedule, **_given(data, "horizon", "l", "c_prime", "c_double_prime"))
     _write_json(os.path.join(args.out, "certificate.json"), cert.to_json())
@@ -84,7 +90,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    data = _load_json(args.config)
+    data = _load_config(args.config, "problem", "schedule", "t_grid")
     problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
     t_grid = _time_grid(data.get("t_grid", {}), schedule)
@@ -101,7 +107,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    data = _load_json(args.config)
+    data = _load_config(args.config, "problem", "schedule", "integrator")
     problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
     integ_data = data.get("integrator", {})
@@ -129,7 +135,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    data = _load_json(args.config)
+    data = _load_config(args.config, "problem", "schedule", "t_max", "gap_mode", "l", "tails")
     problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
     settings = {
@@ -177,7 +183,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit_gap(args) -> int:
-    data = _load_json(args.config)
+    data = _load_config(args.config, "problems", "ensemble", "gamma_grid")
     if "problems" in data:
         problems = [IsingProblem.from_json(p) for p in data["problems"]]
     else:
@@ -206,7 +212,7 @@ def cmd_fit_gap(args) -> int:
 
 
 def cmd_reparam(args) -> int:
-    data = _load_json(args.config)
+    data = _load_config(args.config, "s", "t_grid")
     s_fn = s_function_from_json(_entry(data, "s"))
     grid_spec = data.get("t_grid", {})
     t_grid = np.linspace(

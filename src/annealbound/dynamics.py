@@ -1,18 +1,22 @@
 """Schrodinger evolution i dpsi/dt = H(t) psi from the ground state of H(0).
 
-Every step applies the midpoint propagator exp(-i H(t_mid) dt), so each step
-is unitary to machine precision by construction and the scheme is globally
-second order in dt (midpoint sampling of the time dependence is the only
-approximation). Long horizons T ~ 1/delta make structural norm preservation
-the binding requirement; step count only sets phase accuracy.
+Every step applies the midpoint propagator exp(-i H(t_mid) dt), and the
+scheme is globally second order in dt (midpoint sampling of the time
+dependence is the only approximation). Long horizons T ~ 1/delta make norm
+preservation the binding requirement; step count only sets phase accuracy.
 
 Two regimes apply the same propagator, chosen by size:
 
-- n_spins <= DENSE_MAX_SPINS = 5: exactly, through one dense real-symmetric
-  eigendecomposition per step (all pairs, LAPACK dsyevd),
-  psi <- V e^{-iw dt} V^T psi. At these dimensions a Chebyshev step's cost is
-  the Python overhead of its ~22 matrix-free H applies, and one small
-  eigendecomposition is cheaper.
+- n_spins <= DENSE_MAX_SPINS = 5: H = diag(E) - Gamma X with ||X|| = N, so
+  U(Gamma) = exp(-i dt H) has ||d^k U/dGamma^k|| <= (dt N)^k. On a block of
+  at most DENSE_BLOCK steps whose midpoint Gammas span a width w, U is
+  interpolated through exact propagators (one LAPACK dsyevd each) at the k
+  Chebyshev points of that range, k the fewest with remainder
+  2 (dt N w/4)^k / k! <= INTERP_TOL = 1e-16; a block needing as many nodes as
+  steps is halved, down to one step (w = 0, k = 1: the exact exponential).
+  Each step is one small matrix-vector product within 1e-16 in operator norm
+  (plus rounding) of exp(-i H(t_mid) dt), so n steps stay within n * 1e-16
+  of exact midpoint stepping.
 - larger n_spins: a Chebyshev expansion of the exponential on a fixed
   spectral envelope (Tal-Ezer & Kosloff 1984), built from matrix-free H
   applies.
@@ -21,14 +25,15 @@ In both regimes the initial state and the record-point ground states come
 from `spectrum.diagonalize`: a dense lowest-pair solve up to 8 spins,
 matrix-free Lanczos above.
 
-The crossover was measured with one OpenBLAS thread on a 2-vCPU Xeon VM,
-timing 4000 steps of the full evolve: dense wins through N = 5 (1.2 s
-against 2.1 s) and its O(8^N) eigendecomposition loses from N = 6 on
-(3.4 s against 3.0 s).
+Crossover (one OpenBLAS thread, 2-vCPU Xeon VM, 4000 steps of dt = 0.5 through
+the full evolve), dense against Chebyshev: 0.24/2.35 s at N = 5, 0.67/2.90 s at
+N = 6 (3.4 s with one eigendecomposition per step), 1.93/3.98 s at N = 7. So
+N = 6 and 7 now favour dense; DENSE_MAX_SPINS stays 5 until re-measured.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -46,9 +51,11 @@ TARGET_RECORDS = 1000
 COEFF_TOL = 1e-16
 # Largest n_spins propagated by dense eigendecomposition (measured crossover).
 DENSE_MAX_SPINS = 5
-# Steps whose Hamiltonians are built at once on the dense path; small enough
-# that the stack adds no measurable resident memory.
-DENSE_CHUNK = 32
+# Operator-norm bound on each dense step's interpolation error.
+INTERP_TOL = 1e-16
+# Most dense steps sharing one set of Chebyshev nodes; the widest block the
+# bound then allows has dt N w ~ 140, where rounding stays below 1e-13.
+DENSE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -97,15 +104,17 @@ class TrajectoryRecord:
     provenance: str
 
 
-def excitation_norm(psi: np.ndarray, ground: np.ndarray) -> float:
-    """Distance of psi/||psi|| from the ground space, sqrt(1 - |<ground|psi>|^2).
+def _ground_split(psi_hat: np.ndarray, ground: np.ndarray) -> tuple[float, float]:
+    """|<ground|psi_hat>|^2 and ||psi_hat - <ground|psi_hat> ground|| for a unit
+    psi_hat; the latter keeps the digits sqrt(1 - |<ground|psi_hat>|^2) loses."""
+    amp = np.vdot(ground, psi_hat)
+    rest = psi_hat - amp * ground
+    return abs(amp) ** 2, math.sqrt(np.vdot(rest, rest).real)
 
-    Computed as ||psi_hat - <ground|psi_hat> ground||, which keeps full
-    relative accuracy where 1 - |<ground|psi>|^2 would cancel.
-    """
-    psi = psi / math.sqrt(np.vdot(psi, psi).real)
-    rest = psi - np.vdot(ground, psi) * ground
-    return math.sqrt(np.vdot(rest, rest).real)
+
+def excitation_norm(psi: np.ndarray, ground: np.ndarray) -> float:
+    """Distance of psi/||psi|| from the ground space (see _ground_split)."""
+    return _ground_split(psi / math.sqrt(np.vdot(psi, psi).real), ground)[1]
 
 
 def initial_state(problem: IsingProblem, schedule: Schedule) -> np.ndarray:
@@ -181,12 +190,9 @@ def _chebyshev_steps(
 
 
 def _eigh_all(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a real symmetric C-ordered matrix, ascending, from
-    one direct LAPACK dsyevd call; h is overwritten.
-
-    Skips scipy.linalg.eigh's argument checks and driver dispatch, which on
-    the smallest matrices cost more than the decomposition itself.
-    """
+    """All eigenpairs of a real symmetric C-ordered h (overwritten), ascending,
+    from one dsyevd call without scipy.linalg.eigh's argument checks and driver
+    dispatch, which on the smallest matrices cost more than the decomposition."""
     # h.T is the same symmetric matrix in Fortran order, so LAPACK works in place.
     w, v, info = dsyevd(h.T, overwrite_a=1)
     if info != 0:
@@ -194,16 +200,50 @@ def _eigh_all(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _interpolation_blocks(gammas: np.ndarray, scale: float) -> list[tuple[np.ndarray, int]]:
+    """(Gammas of a run of consecutive steps, k) in step order, k the fewest
+    Chebyshev nodes with 2 (scale w/4)^k / k! <= INTERP_TOL on the run's
+    Gamma-width w. A run that would need as many nodes as steps is halved."""
+    z = scale * float(np.ptp(gammas)) / 4.0
+    k, remainder = 1, 2.0 * z
+    while remainder > INTERP_TOL and k < gammas.size:
+        k += 1
+        remainder *= z / k
+    if k < gammas.size or gammas.size == 1:
+        return [(gammas, k)]
+    mid = gammas.size // 2
+    return _interpolation_blocks(gammas[:mid], scale) + _interpolation_blocks(gammas[mid:], scale)
+
+
+def _interpolation(h0: np.ndarray, driver: np.ndarray, gammas: np.ndarray, dt: float, k: int):
+    """Exact propagators exp(-i dt (h0 - G driver)) at the k Chebyshev points G
+    of the range of gammas, and weights with U(gammas[s]) ~ weights[s] @ props."""
+    centre, half = 0.5 * (gammas.max() + gammas.min()), 0.5 * np.ptp(gammas)
+    theta = (np.arange(k) + 0.5) * (np.pi / k)
+    props = np.empty((k,) + h0.shape, dtype=complex)
+    for j, x in enumerate(np.cos(theta)):
+        w, v = _eigh_all(h0 - (centre + half * x) * driver)
+        props[j] = (v * np.exp(-1j * dt * w)) @ v.T
+    # Lagrange weights (2/k) sum'_m T_m(x_j) T_m(x), from the discrete
+    # orthogonality of T_0..T_{k-1} at the nodes x_j (sum' halves m = 0).
+    at_nodes = np.cos(np.outer(np.arange(k), theta))
+    at_nodes[0] *= 0.5
+    x = np.clip((gammas - centre) / half, -1.0, 1.0) if half > 0 else np.zeros_like(gammas)
+    return props, (2.0 / k) * np.cos(np.outer(np.arccos(x), np.arange(k))) @ at_nodes
+
+
 def _dense_steps(
     h0: np.ndarray, driver: np.ndarray, schedule: Schedule, psi: np.ndarray,
     n_steps: int, dt: float,
 ):
-    for start in range(0, n_steps, DENSE_CHUNK):
-        t_mid = (np.arange(start, min(start + DENSE_CHUNK, n_steps)) + 0.5) * dt
-        for h in h0 - schedule.gamma(t_mid)[:, None, None] * driver:
-            w, v = _eigh_all(h)
-            psi = v @ (np.exp(-1j * dt * w) * (v.T @ psi))
-            yield psi
+    for first in range(0, n_steps, DENSE_BLOCK):
+        gammas = schedule.gamma((np.arange(first, min(first + DENSE_BLOCK, n_steps)) + 0.5) * dt)
+        for part, k in _interpolation_blocks(gammas, dt * schedule.n_spins):
+            props, weights = _interpolation(h0, driver, part, dt, k)
+            stacked = props.reshape(-1, psi.size)
+            for wt in weights:
+                psi = np.dot(wt, np.dot(stacked, psi).reshape(k, -1))
+                yield psi
 
 
 def evolve(
@@ -238,48 +278,37 @@ def evolve(
         propagator, h_applies = "chebyshev", n_steps * (coeffs.size - 1)
         steps = _chebyshev_steps(diag, schedule, psi, n_steps, dt, coeffs, 1.0 / a, b, phase)
 
-    times, gams, overlaps, excs, drifts = [], [], [], [], []
-    failed = False
-    failure_time: float | None = None
-    failure_reason: str | None = None
-
-    def record(t: float, psi: np.ndarray) -> None:
-        nonlocal failed, failure_time, failure_reason
+    # Record the initial state, every stride-th step and the last one.
+    times = np.r_[0:n_steps:stride, n_steps] * dt
+    gammas = schedule.gamma(times)
+    overlaps, excs, drifts = np.empty((3, times.size))
+    wanted = (step % stride == 0 or step == n_steps for step in itertools.count())
+    for i, psi in enumerate(itertools.compress(itertools.chain([psi], steps), wanted)):
         if not np.all(np.isfinite(psi)):
-            raise RuntimeError(f"non-finite amplitude at t={t:g}")
-        gam = schedule.gamma(t)
+            raise RuntimeError(f"non-finite amplitude at t={times[i]:g}")
         nrm = float(np.linalg.norm(psi))
-        drift = abs(nrm - 1.0)
-        g = diagonalize(diag, gam, t=t).ground_state
-        psi_hat = psi / nrm
-        times.append(t)
-        gams.append(gam)
-        overlaps.append(abs(np.vdot(g, psi_hat)) ** 2)
-        excs.append(excitation_norm(psi_hat, g))
-        drifts.append(drift)
-        if drift > config.norm_tolerance and not failed:
-            failed = True
-            failure_time = t
-            failure_reason = f"norm drift {drift:.3e} exceeds tolerance at t={t:g}"
+        drifts[i] = abs(nrm - 1.0)
+        ground = diagonalize(diag, gammas[i], t=times[i]).ground_state
+        overlaps[i], excs[i] = _ground_split(psi / nrm, ground)
 
-    record(0.0, psi)
-    for step, psi in enumerate(steps):
-        if (step + 1) % stride == 0 or step == n_steps - 1:
-            record((step + 1) * dt, psi)
-
+    over = np.flatnonzero(drifts > config.norm_tolerance)
+    failure_time = float(times[over[0]]) if over.size else None
+    failure_reason = None if failure_time is None else (
+        f"norm drift {drifts[over[0]]:.3e} exceeds tolerance at t={failure_time:g}"
+    )
     return TrajectoryRecord(
-        times=np.asarray(times),
-        gammas=np.asarray(gams),
-        ground_overlap_sq=np.asarray(overlaps),
-        excitation_norms=np.asarray(excs),
-        norm_drift=np.asarray(drifts),
+        times=times,
+        gammas=gammas,
+        ground_overlap_sq=overlaps,
+        excitation_norms=excs,
+        norm_drift=drifts,
         final_excitation=float(excs[-1]),
         final_state=psi,
         n_steps=n_steps,
         dt=dt,
         propagator=propagator,
         h_applies=h_applies,
-        failed=failed,
+        failed=failure_time is not None,
         failure_time=failure_time,
         failure_reason=failure_reason,
         provenance=pair_hash(problem.to_json(), schedule.to_json()),

@@ -104,6 +104,15 @@ CONFIG_SCHEMA = {
 _validator = Draft202012Validator(CONFIG_SCHEMA)
 
 
+def _load_json(path) -> object:
+    """The parsed JSON file at path; malformed JSON is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def validate_config(data: dict) -> None:
     errors = sorted(_validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
@@ -180,17 +189,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls(raw=data, base_dir=os.path.dirname(os.path.abspath(path)))
+        return cls(raw=_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
     def _resolve_problem(self, spec: dict) -> IsingProblem:
         if "inline" in spec:
             return IsingProblem.from_json(spec["inline"])
         if "file" in spec:
-            path = os.path.join(self.base_dir, spec["file"])
-            with open(path) as fh:
-                return IsingProblem.from_json(json.load(fh))
+            return IsingProblem.from_json(_load_json(os.path.join(self.base_dir, spec["file"])))
         # The schema's keys are generate_random_problem's parameter names.
         return generate_random_problem(**spec["random"])
 

@@ -283,6 +283,11 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["certify", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+    # run loads its config through ExperimentConfig.from_file
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid JSON" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
@@ -320,6 +325,22 @@ _ONE_SPIN = {"n_spins": 1, "terms": [{"sites": [0], "j": 1.0}]}
             "'steps'",
         ),
         ("fit-gap", {"ensemble": {"seeds": [0, 1]}}, "'sizes'"),
+        # A top-level key the verb does not read is an error, not ignored.
+        ("certify", {"schedule": _schedule_json(n=1), "horizn": 10.0}, "'horizn'"),
+        ("certify", {**_schedule_json(n=1), "horizn": 10.0}, "'horizn'"),
+        ("spectrum", {"problem": _ONE_SPIN, "schedule": _schedule_json(n=1), "tgrid": {}}, "'tgrid'"),
+        (
+            "evolve",
+            {"problem": _ONE_SPIN, "schedule": _schedule_json(n=1), "integrater": {}},
+            "'integrater'",
+        ),
+        (
+            "bound",
+            {"problem": _ONE_SPIN, "schedule": _schedule_json(n=1), "gap_mod": "unit"},
+            "'gap_mod'",
+        ),
+        ("fit-gap", {"problems": [_ONE_SPIN], "gamma_grids": {"points": 8}}, "'gamma_grids'"),
+        ("reparam", {"s": {"kind": "tanh"}, "t_grid": {"hi": 5.0}, "tgrid": {}}, "'tgrid'"),
     ],
 )
 def test_malformed_config_names_the_key_and_exits_2(tmp_path, capsys, verb, config, key):
@@ -328,3 +349,4 @@ def test_malformed_config_names_the_key_and_exits_2(tmp_path, capsys, verb, conf
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert len(err.strip().splitlines()) == 1
+

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 import annealbound.dynamics as dynamics
 from annealbound import (
@@ -22,6 +24,7 @@ from annealbound import (
     trajectory_sidecar,
     trajectory_to_csv,
 )
+from annealbound.spectrum import dense_hamiltonian, transverse_field
 
 
 def test_excitation_norm_limits(rng):
@@ -254,3 +257,74 @@ def test_paths_agree_on_a_tiny_excitation(monkeypatch):
         finals.append(evolve(prob, sched, IntegratorConfig(max_time=2e3)).final_excitation)
     assert finals[0] < 1e-6
     assert finals[1] == pytest.approx(finals[0], rel=1e-6, abs=0.0)
+
+
+# ------------------------------------------------- interpolated dense propagator
+
+
+def _exact_step(h: np.ndarray, dt: float) -> np.ndarray:
+    w, v = dynamics._eigh_all(h.copy())
+    return (v * np.exp(-1j * dt * w)) @ v.T
+
+
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 10_000),
+    dt=st.floats(0.01, 0.5),
+    lo=st.floats(0.0, 2.0),
+    frac=st.floats(0.0, 1.0),
+    picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_interpolated_propagator_matches_exact_exponential(n, seed, dt, lo, frac, picks):
+    # Widest Gamma-interval a full block may span: the k = DENSE_BLOCK - 1 node
+    # interpolant still meets 2 (dt n w / 4)^k / k! <= INTERP_TOL there.
+    cap = dynamics.DENSE_BLOCK
+    z_max = math.exp((math.log(dynamics.INTERP_TOL / 2) + math.lgamma(cap)) / (cap - 1))
+    width = 0.999 * frac * 4.0 * z_max / (dt * n)
+    gammas = lo + width * np.linspace(0.0, 1.0, cap) ** 2
+    [(part, k)] = dynamics._interpolation_blocks(gammas, dt * n)  # one block, k < cap
+    diag = build_diagonal(generate_random_problem(seed=seed, n_spins=n))
+    h0, driver = np.diag(diag.energies), transverse_field(n)
+    props, weights = dynamics._interpolation(h0, driver, part, dt, k)
+    assert props.shape == (k, 2**n, 2**n) and weights.shape == (cap, k)
+    for s in np.rint(np.asarray(picks) * (cap - 1)).astype(int):
+        interpolated = np.tensordot(weights[s], props, axes=1)
+        exact = _exact_step(h0 - gammas[s] * driver, dt)
+        assert np.abs(interpolated - exact).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_spins", [2, 3, 4])
+def test_dense_trajectory_matches_exact_per_step_reference(n_spins):
+    prob = generate_random_problem(seed=7, n_spins=n_spins)
+    sched = Schedule(delta=1e-2, c=2.0, g=ConstantG(0.0625), n_spins=n_spins)
+    traj = evolve(prob, sched, IntegratorConfig(max_time=1e3))
+    assert traj.propagator == "dense"
+    diag = build_diagonal(prob)
+    psi = initial_state(prob, sched)
+    ref_excs = [excitation_norm(psi, diagonalize(diag, traj.gammas[0]).ground_state)]
+    dt, record_steps = traj.dt, np.rint(traj.times / traj.dt).astype(int)
+    for step in range(1, traj.n_steps + 1):
+        h = dense_hamiltonian(diag, sched.gamma((step - 0.5) * dt))
+        psi = expm(-1j * dt * h) @ psi
+        if step in record_steps:
+            ground = diagonalize(diag, sched.gamma(step * dt)).ground_state
+            ref_excs.append(excitation_norm(psi, ground))
+    assert np.abs(traj.excitation_norms - ref_excs).max() <= 1e-12
+    assert np.abs(traj.final_state - psi).max() <= 1e-10
+
+
+def test_dense_path_needs_few_eigendecompositions(monkeypatch):
+    # 20,000 steps at N = 4: one eigendecomposition per step would make 20,000.
+    calls = []
+    eigh_all = dynamics._eigh_all
+
+    def counted(h):
+        calls.append(1)
+        return eigh_all(h)
+
+    monkeypatch.setattr(dynamics, "_eigh_all", counted)
+    prob = generate_random_problem(seed=1, n_spins=4)
+    sched = Schedule(delta=1e-3, c=2.0, g=ConstantG(0.0625), n_spins=4)
+    traj = evolve(prob, sched, IntegratorConfig(max_time=1e4))
+    assert traj.propagator == "dense" and traj.n_steps == 20_000
+    assert len(calls) <= 2_000
