@@ -12,6 +12,11 @@ envelope, combined with the gap lower bound Delta >= A Gamma^N (or Delta
 identically 1 in the oracle mode used by the closed-form tests). For
 certified schedules the limit term is 0; its finite-time proxy at T_max is
 reported alongside so nothing is hidden.
+
+Every gap that enters a term is a certified lower bound: the measured gap
+is the gap curve's Lipschitz envelope (spectrum.GapEnvelope), and A Gamma^N
+stays below an envelope on (0, Gamma_max]: the curve's in measured mode, one
+seeded at Gamma = 0 and Gamma_max in bounded mode.
 """
 
 from __future__ import annotations
@@ -22,12 +27,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, GapAnomalyError, ProvenanceMismatchError, ValidationError
-from .ising import IsingProblem
+from .errors import ConfigError, ProvenanceMismatchError, ValidationError
+from .ising import IsingProblem, build_diagonal
 from .provenance import pair_hash
 from .quadrature import adaptive_integrate, cumulative_at, log_clock_edges
 from .schedule import ENVELOPE_L, T_MAX_K, ConditionCertificate, Schedule, certify
-from .spectrum import GapBoundFit, GapCurve, build_gap_curve, instance_gap_constant
+from .spectrum import GapCurve, build_gap_curve, gap_envelope
+# instance_gap_constant stays bound here: the benchmark's tracer wraps it by this name.
+from .spectrum import instance_gap_constant  # noqa: F401
 
 GAP_MODES = ("measured", "bounded", "unit")
 QUAD_ABS_TOL = 1e-10
@@ -98,48 +105,6 @@ class FiniteTimeBound:
     provenance: str
 
 
-def _instance_gap_A(problem: IsingProblem, schedule: Schedule, t_max: float) -> float:
-    """Per-instance largest A with Delta >= A Gamma^N over the Gamma range of
-    [0, t_max], scanned down to at most min(0.05, Gamma_min/4, Gamma_max/4).
-
-    Delta/Gamma^N diverges as Gamma -> 0 for nondegenerate problems, so a
-    minimum pinned to the low edge means the grid is not yet wide enough and
-    the scan extends downward until the minimum is interior or at the top.
-    """
-    gamma_lo, gamma_hi = schedule.gamma_range(t_max)
-    gamma_lo = min(0.05, gamma_lo / 4.0, gamma_hi / 4.0)
-    for _ in range(8):
-        grid = np.geomspace(gamma_lo, gamma_hi, 81)
-        a_emp, g_at = instance_gap_constant(problem, grid)
-        if g_at > grid[0] * (1 + 1e-4):
-            return a_emp
-        gamma_lo /= 4.0
-    raise GapAnomalyError("Delta/Gamma^N still decreasing at the low-Gamma grid edge")
-
-
-def _gap_model(problem, schedule, t_max, gap_mode, fit, curve, need_a):
-    """Returns (gap_fn vectorized over t, A_used, A_source, extras dict).
-
-    A comes from the fit, or else from the instance scan, which runs only
-    where A is used: the bounded gap itself, or when the caller needs A.
-    """
-    n = schedule.n_spins
-    if gap_mode == "unit":
-        return (lambda t: np.ones_like(np.asarray(t, dtype=float))), math.nan, "none", {}
-    a_used, a_source = math.nan, "none"
-    if fit is not None:
-        a_used, a_source = fit.A_of(n), "fit"
-    elif need_a or gap_mode == "bounded":
-        a_used, a_source = _instance_gap_A(problem, schedule, t_max), "instance"
-    if gap_mode == "bounded":
-        gap_fn = lambda t: a_used * np.asarray(schedule.gamma(t), dtype=float) ** n
-        return gap_fn, a_used, a_source, {}
-    if curve is None:
-        curve = build_gap_curve(problem, schedule, t_max)
-    extras = {"min_gap": curve.min_gap, "t_min_gap": curve.t_min_gap}
-    return curve, a_used, a_source, extras
-
-
 def _analytic_tails(
     cert: ConditionCertificate, n: int, t_max: float, *, A: float, unit: bool
 ):
@@ -201,10 +166,15 @@ def _slope_term(schedule, gap_fn, t) -> tuple[float, float]:
 
 class _BoundCore:
     """What both forms of the bound share up to the last checkpoint t_max:
-    the gap model, both integrands, the panel edges (log-clock edges plus the
-    checkpoints), both quadratures and the initial slope term."""
+    the gap model, both integrands, the panel edges (log-clock edges, the
+    checkpoints and the gap curve's node times, where its envelope jumps),
+    both quadratures and the initial slope term.
 
-    def __init__(self, problem, schedule, checkpoints, gap_mode, fit, curve, *, need_a):
+    A comes from a gap envelope refined for it, only where A is used: the
+    bounded gap itself, or when the caller needs A.
+    """
+
+    def __init__(self, problem, schedule, checkpoints, gap_mode, curve, *, need_a):
         if problem.n_spins != schedule.n_spins:
             raise ValidationError(
                 f"problem has {problem.n_spins} spins but schedule was built for "
@@ -212,16 +182,30 @@ class _BoundCore:
             )
         if gap_mode not in GAP_MODES:
             raise ConfigError(f"gap_mode must be one of {GAP_MODES}, got {gap_mode!r}")
-        t_max = float(checkpoints[-1])
-        self.gap_fn, self.a_used, self.a_source, self.extras = _gap_model(
-            problem, schedule, t_max, gap_mode, fit, curve, need_a
-        )
+        t_max, n = float(checkpoints[-1]), schedule.n_spins
+        self.a_used, self.constants, gap_edges = math.nan, {"A_source": "none"}, []
+        if gap_mode == "unit":
+            self.gap_fn = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        elif gap_mode == "measured":
+            self.gap_fn = curve = curve or build_gap_curve(problem, schedule, t_max)
+            envelope, gap_edges = curve.envelope, [s.t for s in curve.snapshots if s.t < t_max]
+            self.constants.update(
+                min_gap=curve.min_gap, t_min_gap=curve.t_min_gap, envelope_slack=envelope.slack()
+            )
+        else:
+            envelope = gap_envelope(build_diagonal(problem))
+            self.gap_fn = lambda t: self.a_used * np.asarray(schedule.gamma(t), dtype=float) ** n
+        if gap_mode == "bounded" or (need_a and gap_mode == "measured"):
+            envelope, self.a_used, a_slack = envelope.gap_constant(schedule.gamma_range(t_max)[1])
+            self.constants.update(A_source="envelope", A_slack=a_slack)
+        if gap_mode != "unit":
+            self.constants["envelope_samples"] = int(envelope.gammas.size)
         self.f2, self.f1 = _integrands(schedule, self.gap_fn)
         if schedule.delta > 0:
             base = log_clock_edges(schedule.delta, schedule.c, t_max, QUAD_PANELS)
         else:
             base = np.linspace(0.0, t_max, QUAD_PANELS + 1)
-        self.edges = np.unique(np.concatenate([base, checkpoints]))
+        self.edges = np.unique(np.concatenate([base, checkpoints, gap_edges]))
         self.res2 = adaptive_integrate(self.f2, self.edges, abs_tol=QUAD_ABS_TOL)
         self.res1 = adaptive_integrate(self.f1, self.edges, abs_tol=QUAD_ABS_TOL)
         self.gap0, self.term_initial = _slope_term(schedule, self.gap_fn, 0.0)
@@ -234,7 +218,6 @@ def evaluate_bound(
     gap_mode: str = "measured",
     *,
     certificate: ConditionCertificate | None = None,
-    fit: GapBoundFit | None = None,
     curve: GapCurve | None = None,
     l: float = ENVELOPE_L,
     t_max_k: float = T_MAX_K,
@@ -242,8 +225,8 @@ def evaluate_bound(
 ) -> BoundReport:
     """Every term of the excitation bound for one problem/schedule pair.
 
-    gap_mode picks the Delta entering the integrands: "measured" interpolates
-    diagonalized gaps, "bounded" substitutes A Gamma^N, "unit" forces
+    gap_mode picks the Delta entering the integrands: "measured" takes the
+    gap curve's certified envelope, "bounded" substitutes A Gamma^N, "unit" forces
     Delta = 1 (closed-form test mode). Tails always use the certified
     envelope constants; requesting them for an uncertified schedule is an
     error. With tails disabled the limit term is reported at T_max instead
@@ -262,7 +245,7 @@ def evaluate_bound(
             )
         certified = True
 
-    core = _BoundCore(problem, schedule, [t_max], gap_mode, fit, curve, need_a=True)
+    core = _BoundCore(problem, schedule, [t_max], gap_mode, curve, need_a=True)
     gap_t, term_limit_proxy = _slope_term(schedule, core.gap_fn, t_max)
 
     if certified:
@@ -278,21 +261,13 @@ def evaluate_bound(
         core.term_initial + term_limit + core.res2.value + core.res1.value + tail2 + tail1
     )
 
-    constants = {
-        "A_used": core.a_used,
-        "A_source": core.a_source,
-        "gap0": core.gap0,
-        "gap_t_max": gap_t,
-        **core.extras,
-    }
+    constants = {"A_used": core.a_used, "gap0": core.gap0, "gap_t_max": gap_t, **core.constants}
     if certificate is not None:
         constants.update(
             L=certificate.L, l=certificate.l_const, m=certificate.m,
             c_prime=certificate.c_prime, c_double_prime=certificate.c_double_prime,
             g_min=certificate.g_min,
         )
-    if fit is not None:
-        constants.update(a_fit=fit.a_fit, b_fit=fit.b_fit)
 
     ts = core.edges[:: max(1, core.edges.size // 1000)]
     samples = {
@@ -335,7 +310,6 @@ def finite_time_rhs(
     checkpoints,
     gap_mode: str = "measured",
     *,
-    fit: GapBoundFit | None = None,
     curve: GapCurve | None = None,
 ) -> FiniteTimeBound:
     """Finite-horizon bound at each checkpoint t:
@@ -349,7 +323,7 @@ def finite_time_rhs(
     pts = np.atleast_1d(np.asarray(checkpoints, dtype=float))
     if pts.size == 0 or np.any(pts <= 0) or np.any(np.diff(pts) < 0):
         raise ValidationError("checkpoints must be positive and sorted ascending")
-    core = _BoundCore(problem, schedule, pts, gap_mode, fit, curve, need_a=False)
+    core = _BoundCore(problem, schedule, pts, gap_mode, curve, need_a=False)
     cum2 = cumulative_at(core.f2, core.res2, pts)
     cum1 = cumulative_at(core.f1, core.res1, pts)
     term_current = np.array([_slope_term(schedule, core.gap_fn, t)[1] for t in pts])

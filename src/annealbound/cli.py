@@ -107,7 +107,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    data = _load_config(args.config, "problem", "schedule", "integrator")
+    data = _load_config(args.config, "problem", "schedule", "integrator", "t_max_k")
     problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
     integ_data = data.get("integrator", {})
@@ -116,7 +116,7 @@ def cmd_evolve(args) -> int:
         raise ConfigError(f"unknown integrator key {unknown[0]!r}")
     max_time = _config_horizon(
         schedule, integ_data.get("max_time"), "/integrator/max_time",
-        **_given(vars(args), "t_max_k"),
+        **{**_given(data, "t_max_k"), **_given(vars(args), "t_max_k")},
     )
     config = IntegratorConfig(**{**integ_data, "max_time": max_time})
     record = evolve(problem, schedule, config)
@@ -135,11 +135,13 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    data = _load_config(args.config, "problem", "schedule", "t_max", "gap_mode", "l", "tails")
+    data = _load_config(
+        args.config, "problem", "schedule", "t_max", "t_max_k", "gap_mode", "l", "tails"
+    )
     problem = IsingProblem.from_json(_entry(data, "problem"))
     schedule = _schedule_from(data)
     settings = {
-        **_given(data, "t_max", "gap_mode", "l", "tails"),
+        **_given(data, "t_max", "t_max_k", "gap_mode", "l", "tails"),
         **_given(vars(args), "gap_mode", "t_max_k"),
     }
     report = evaluate_bound(problem, schedule, **settings)
@@ -250,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         "--t-max-k": dict(
             type=float, default=None,
-            help="horizon T_max = K/delta when max_time is not set "
-            f"(config t_max_k; default {T_MAX_K:g})",
+            help="horizon T_max = K/delta when no explicit horizon is set; "
+            f"overrides config t_max_k (default {T_MAX_K:g})",
         ),
     }
     commands = {

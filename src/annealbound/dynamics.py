@@ -7,7 +7,7 @@ preservation the binding requirement; step count only sets phase accuracy.
 
 Two regimes apply the same propagator, chosen by size:
 
-- n_spins <= DENSE_MAX_SPINS = 5: H = diag(E) - Gamma X with ||X|| = N, so
+- n_spins <= DENSE_MAX_SPINS = 7: H = diag(E) - Gamma X with ||X|| = N, so
   U(Gamma) = exp(-i dt H) has ||d^k U/dGamma^k|| <= (dt N)^k. On a block of
   at most DENSE_BLOCK steps whose midpoint Gammas span a width w, U is
   interpolated through exact propagators (one LAPACK dsyevd each) at the k
@@ -25,10 +25,11 @@ In both regimes the initial state and the record-point ground states come
 from `spectrum.diagonalize`: a dense lowest-pair solve up to 8 spins,
 matrix-free Lanczos above.
 
-Crossover (one OpenBLAS thread, 2-vCPU Xeon VM, 4000 steps of dt = 0.5 through
-the full evolve), dense against Chebyshev: 0.24/2.35 s at N = 5, 0.67/2.90 s at
-N = 6 (3.4 s with one eigendecomposition per step), 1.93/3.98 s at N = 7. So
-N = 6 and 7 now favour dense; DENSE_MAX_SPINS stays 5 until re-measured.
+Crossover (one OpenBLAS thread, 2-vCPU Xeon VM, 4000 steps of dt = 0.5
+through the full evolve, records included; seed 7, delta = 1e-2, c = 2,
+g = 1/(4N)), dense against Chebyshev: 0.45/2.63 s at N = 6, 1.74/3.86 s at
+N = 7, 7.28/6.66 s at N = 8. Earlier, at N = 5: 0.24/2.35 s. So dense runs
+up to N = 7.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .spectrum import check_ising_nondegenerate, diagonalize, transverse_field
 TARGET_RECORDS = 1000
 COEFF_TOL = 1e-16
 # Largest n_spins propagated by dense eigendecomposition (measured crossover).
-DENSE_MAX_SPINS = 5
+DENSE_MAX_SPINS = 7
 # Operator-norm bound on each dense step's interpolation error.
 INTERP_TOL = 1e-16
 # Most dense steps sharing one set of Chebyshev nodes; the widest block the

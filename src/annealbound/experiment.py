@@ -411,12 +411,14 @@ Per-run files:
   norm_drift at the record points.
 - `trajectory.json` - integrator settings, step count, provenance hash.
 - `gap_profile.csv` - columns t, gamma, eps0, eps1, gap at the gap curve's
-  own samples: the log-clock nodes plus the refinement points near the
-  minimum gap (measured gap mode only).
+  log-clock nodes, as solved (measured gap mode only).
 - `bound_report.json` - every term of the excitation bound, the constants
-  entering the tails, and quadrature diagnostics.
+  entering the tails (A from the gap envelope, with its sample count and
+  slack), and quadrature diagnostics.
 - `integrand_samples.csv` - columns t, gamma, gap, integrand_second_deriv,
-  integrand_first_deriv_sq for plotting.
+  integrand_first_deriv_sq for plotting. gap is the certified lower bound
+  in the integrands: the Lipschitz envelope of the solved gaps, constant
+  between neighbouring samples (measured), A Gamma^N (bounded) or 1 (unit).
 - `verdict.json` - whether final excitation <= bound total, with the slack
   ratio.
 

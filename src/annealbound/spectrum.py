@@ -8,7 +8,7 @@ eigenpairs of the dense matrix; from 9 up to 14 it runs one real Lanczos
 routine (ARPACK eigsh on a real LinearOperator over apply_hamiltonian,
 started from the uniform vector, which overlaps the positive Perron ground
 state). The only other eigensolve is the step kernel of the dense propagator
-in `dynamics` (all eigenpairs, up to 5 spins).
+in `dynamics` (all eigenpairs, up to 7 spins).
 
 The cap is a measured crossover (one OpenBLAS thread, 2-vCPU Xeon VM, seed 7,
 50 Gamma in [1e-3, 1.5], lowest pair without vectors, ms per solve, dense
@@ -16,9 +16,11 @@ against Lanczos): N = 8 4.0 against 4.9, N = 9 18.9 against 4.8, N = 10 143
 against 6.4. Dense eigh grows as 8^N, a Lanczos solve as 2^N times a few
 dozen H applies.
 
-Also hosts the empirical gap lower-bound machinery: the per-instance largest
-constant A with Delta >= A * Gamma^N on a grid, and the least-squares fit of
-A(N) = a * sqrt(N) * exp(-b N) across sizes.
+Also hosts the certified gap lower bound, GapEnvelope: the gap is
+2N-Lipschitz in Gamma, so Gamma-sorted samples bound it from below between
+them. It serves the measured gap curve and the tail constant A of
+Delta >= A Gamma^N. The fit of A(N) = a sqrt(N) exp(-b N) across sizes, from
+per-instance grid minima, is empirical and certifies nothing.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ import csv
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
-from scipy.optimize import minimize_scalar
-from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (
@@ -49,6 +49,14 @@ MAX_SPINS_DENSE = 8
 MAX_SPINS_ITERATIVE = 14
 DEGENERACY_TOL = 1e-10
 GAP_CURVE_NODES = 200
+# Refinement leaves each envelope floor, and A, within this fraction of the
+# samples they are built from (see GapEnvelope).
+ENVELOPE_EPS = 0.01
+# Each sampled gap is lowered by SOLVE_ALLOWANCE * (||E||_inf + N Gamma)
+# before it enters an envelope (see GapEnvelope).
+SOLVE_ALLOWANCE = 1e-9
+# Refinement passes before an envelope stops tightening.
+MAX_REFINE_PASSES = 64
 
 
 @dataclass(frozen=True)
@@ -199,97 +207,145 @@ def profile_to_csv(snapshots: Sequence[SpectrumSnapshot], path) -> None:
             )
 
 
-@dataclass(frozen=True)
-class GapCurve:
-    """Measured gap along a schedule, interpolated cubically in log(delta*t + c).
+@dataclass(frozen=True, eq=False)
+class GapEnvelope:
+    """Certified lower bound on the gap Delta(Gamma) from Gamma-sorted samples.
 
-    The abscissa log(delta*t + c) spreads the late-time decay evenly and is
-    finite at t = 0, unlike log t. `snapshots` holds the solved sample behind
-    each entry of `x`, in the same order.
+    ||dH/dGamma|| = N, so by Weyl's inequality the gap is 2N-Lipschitz. On
+    [Gamma_a, Gamma_b] it is at least the mean of the cones from both ends,
+    the floor (lo_a + lo_b)/2 - N (Gamma_b - Gamma_a). The first sample is
+    the classical gap at Gamma = 0 (no solve); its interval serves A only,
+    and a curve reads the cone of the next sample there.
+
+    Each lo is a computed gap less SOLVE_ALLOWANCE (||E||_inf + N Gamma), a
+    multiple of a bound on ||H||. Dense dsyevr is backward stable to about
+    d 1e-16 ||H||; ARPACK stops at Ritz residuals ||H v - theta v|| below
+    1e-12 |theta|, and a symmetric H has an eigenvalue within the residual
+    of theta; the classical energies round at about 1e-16 sum |J|. The
+    allowance exceeds each by 500x or more. It assumes the solver returns
+    the lowest pair: dense always does, and Lanczos starts from a vector
+    overlapping the Perron ground state.
     """
 
-    delta: float
-    c: float
+    diag: DiagonalIsing = field(repr=False)
+    gammas: np.ndarray = field(repr=False)
+    lows: np.ndarray = field(repr=False)
+
+    @property
+    def floors(self) -> np.ndarray:
+        return 0.5 * (self.lows[:-1] + self.lows[1:]) - self.diag.n_spins * np.diff(self.gammas)
+
+    def __call__(self, gamma) -> np.ndarray:
+        """The floor of the interval holding Gamma; below the first positive
+        sample and above the top one, that sample's cone."""
+        g, lo, top = np.asarray(gamma, dtype=float), self.gammas[1], self.gammas[-1]
+        i = np.clip(np.searchsorted(self.gammas, g, side="right") - 1, 0, self.gammas.size - 2)
+        cone = 2.0 * self.diag.n_spins * np.abs(g - np.clip(g, lo, top))
+        ends = [self.lows[1] - cone, self.lows[-1] - cone]
+        return np.select([g <= lo, g > top], ends, self.floors[i])
+
+    def slack(self) -> float:
+        """Largest relative shortfall of a floor below the lower of its two
+        samples, over every interval but the first, from Gamma = 0."""
+        return float(np.max(self._shortfalls()[1:], initial=0.0))
+
+    def _shortfalls(self) -> np.ndarray:
+        return 1.0 - self.floors / np.minimum(self.lows[:-1], self.lows[1:])
+
+    def _with_samples(self, gammas) -> GapEnvelope:
+        gammas = np.asarray(gammas, dtype=float)
+        gaps = [diagonalize(self.diag, float(g), want_vector=False).gap for g in gammas]
+        at = np.searchsorted(self.gammas, gammas)
+        lows = np.insert(self.lows, at, np.array(gaps) - _allowance(self.diag, gammas))
+        return replace(self, gammas=np.insert(self.gammas, at, gammas), lows=lows)
+
+    def tightened(self) -> GapEnvelope:
+        """Bisect, one solve each, every interval but the first whose floor is
+        more than ENVELOPE_EPS below both its samples, until none is."""
+        env = self
+        for _ in range(MAX_REFINE_PASSES):
+            k = 1 + np.flatnonzero(env._shortfalls()[1:] > ENVELOPE_EPS)
+            if k.size == 0:
+                break
+            env = env._with_samples(0.5 * (env.gammas[k] + env.gammas[k + 1]))
+        if np.any(env.floors[1:] <= 0):
+            raise GapAnomalyError("gap envelope nonpositive between solved samples")
+        return env
+
+    def gap_constant(self, gamma_max: float) -> tuple[GapEnvelope, float, float]:
+        """(refined envelope, A, slack of A), with A Gamma^N below the
+        envelope on (0, gamma_max].
+
+        A is the least floor / Gamma_b^N over the intervals there. The
+        interval attaining it is bisected until A is within ENVELOPE_EPS of
+        the least sampled lo / Gamma^N; the slack is that relative distance.
+        """
+        env = self if gamma_max <= self.gammas[-1] else self._with_samples([gamma_max])
+        for _ in range(MAX_REFINE_PASSES):
+            top = int(np.searchsorted(env.gammas, gamma_max)) + 1
+            power = env.gammas[1:top] ** self.diag.n_spins
+            ratios, sampled = env.floors[: top - 1] / power, np.min(env.lows[1:top] / power)
+            k = int(np.argmin(ratios))
+            if ratios[k] >= (1.0 - ENVELOPE_EPS) * sampled:
+                break
+            env = env._with_samples([0.5 * (env.gammas[k] + env.gammas[k + 1])])
+        if not ratios[k] > 0:
+            raise GapAnomalyError(f"no positive A with Delta >= A Gamma^N below {gamma_max:g}")
+        return env, float(ratios[k]), float(1.0 - ratios[k] / sampled)
+
+
+def _allowance(diag: DiagonalIsing, gamma) -> np.ndarray:
+    return SOLVE_ALLOWANCE * (np.abs(diag.energies).max() + diag.n_spins * np.asarray(gamma))
+
+
+def gap_envelope(diag: DiagonalIsing, snapshots: Sequence[SpectrumSnapshot] = ()) -> GapEnvelope:
+    """The envelope through Gamma = 0 and the snapshots' gaps."""
+    check_ising_nondegenerate(diag)
+    e0, e1 = np.partition(diag.energies, 1)[:2]
+    by_gamma = {0.0: float(e1 - e0), **{s.gamma_value: s.gap for s in snapshots}}
+    gammas = np.array(sorted(by_gamma))
+    gaps = np.array([by_gamma[g] for g in gammas])
+    return GapEnvelope(diag=diag, gammas=gammas, lows=gaps - _allowance(diag, gammas))
+
+
+@dataclass(frozen=True, eq=False)
+class GapCurve:
+    """Certified lower bound on the gap along a schedule over [0, t_max]: the
+    envelope through the gaps at the log-clock nodes (`snapshots`), read at
+    Gamma(t). It jumps where Gamma(t) crosses a sample's Gamma: at the nodes
+    when Gamma is monotone, so the bound puts quadrature panel edges there.
+    """
+
+    schedule: Schedule = field(repr=False)
     t_max: float
-    x: np.ndarray = field(repr=False)
-    gaps: np.ndarray = field(repr=False)
+    envelope: GapEnvelope = field(repr=False)
+    snapshots: tuple[SpectrumSnapshot, ...] = field(repr=False)
     t_min_gap: float
     min_gap: float
     n_evaluations: int
-    snapshots: tuple[SpectrumSnapshot, ...] = field(repr=False)
-    _spline: CubicSpline = field(repr=False)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < -1e-9) or np.any(t_arr > self.t_max * (1 + 1e-9)):
             raise ValidationError(f"t outside measured range [0, {self.t_max}]")
-        x = np.log(self.delta * np.clip(t_arr, 0.0, self.t_max) + self.c)
-        out = self._spline(x)
-        return scalar_or_array(out, t_arr)
+        gamma = self.schedule.gamma(np.clip(t_arr, 0.0, self.t_max))
+        return scalar_or_array(self.envelope(gamma), t_arr)
 
 
-def build_gap_curve(
-    problem: IsingProblem,
-    schedule: Schedule,
-    t_max: float,
-) -> GapCurve:
-    """Sample the gap on GAP_CURVE_NODES log-clock nodes and refine near its
-    minimum.
-
-    The refinement runs a bounded scalar minimization around the coarse-grid
-    minimum and folds every evaluation into the interpolation data, so the
-    spline is densest exactly where the 1/Delta^3 integrand peaks.
-    """
-    if not (schedule.delta > 0):
-        raise ValidationError("gap curve requires delta > 0 (log-u grid)")
-    if not (t_max > 0):
-        raise ValidationError(f"t_max must be positive, got {t_max}")
-    diag = build_diagonal(problem)
-    check_ising_nondegenerate(diag)
-    delta, c = schedule.delta, schedule.c
-
-    t_nodes = log_clock_edges(delta, c, t_max, GAP_CURVE_NODES - 1)
-
-    samples: dict[float, SpectrumSnapshot] = {}
-
-    def gap_at(t: float) -> float:
-        t = float(t)
-        if t not in samples:
-            samples[t] = diagonalize(diag, schedule.gamma(t), t=t, want_vector=False)
-        return samples[t].gap
-
-    gaps = np.array([gap_at(t) for t in t_nodes])
-    k = int(np.argmin(gaps))
-
-    if 0 < k < t_nodes.size - 1:
-        res = minimize_scalar(
-            gap_at,
-            bounds=(t_nodes[k - 1], t_nodes[k + 1]),
-            method="bounded",
-            options={"xatol": max(1e-12, 1e-9 * (t_nodes[k + 1] - t_nodes[k - 1]))},
-        )
-        gap_at(float(res.x))
-
-    ts = np.array(sorted(samples))
-    gs = np.array([samples[t].gap for t in ts])
-    if np.any(gs <= 0):
-        bad = ts[gs <= 0][0]
-        raise GapAnomalyError(f"nonpositive measured gap at t={bad:g}")
-    x = np.log(delta * ts + c)
-    keep = np.concatenate(([True], np.diff(x) > 1e-13))
-    x, gs, ts = x[keep], gs[keep], ts[keep]
-    spline = CubicSpline(x, gs)
-
-    dense_x = np.linspace(x[0], x[-1], 4 * x.size)
-    if np.any(spline(dense_x) <= 0):
-        raise GapAnomalyError("gap interpolant dips nonpositive between samples")
-
-    j = int(np.argmin(gs))
+def build_gap_curve(problem: IsingProblem, schedule: Schedule, t_max: float) -> GapCurve:
+    """Solve the gap at GAP_CURVE_NODES log-clock nodes and tighten their
+    envelope on every interval but the first, from Gamma = 0 to the lowest
+    node, which only A reads. n_evaluations counts the solves: the nodes
+    plus the refinement's."""
+    t_nodes = log_clock_edges(schedule.delta, schedule.c, t_max, GAP_CURVE_NODES - 1)
+    snapshots = tuple(gap_profile(problem, schedule, t_nodes))
+    seeded = gap_envelope(build_diagonal(problem), snapshots)
+    envelope = seeded.tightened()
+    j = int(np.argmin([s.gap for s in snapshots]))
     return GapCurve(
-        delta=delta, c=c, t_max=float(t_max), x=x, gaps=gs,
-        t_min_gap=float(ts[j]), min_gap=float(gs[j]),
-        n_evaluations=len(samples), snapshots=tuple(samples[t] for t in ts),
-        _spline=spline,
+        schedule=schedule, t_max=float(t_max), envelope=envelope, snapshots=snapshots,
+        t_min_gap=snapshots[j].t, min_gap=snapshots[j].gap,
+        n_evaluations=len(snapshots) + envelope.gammas.size - seeded.gammas.size,
     )
 
 

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-import annealbound.bound as bound
+from annealbound import spectrum
 from annealbound import (
     ConfigError,
     ConstantG,
@@ -23,7 +23,6 @@ from annealbound import (
     evaluate_bound,
     evolve,
     finite_time_rhs,
-    fit_gap_constants,
     generate_random_problem,
     integrand_samples_to_csv,
 )
@@ -124,11 +123,15 @@ def test_unit_mode_tail_closed_forms_directly():
 def test_bounded_mode_dominates_measured_mode():
     prob = generate_random_problem(seed=7, n_spins=2)
     s = _sched(delta=1e-2, c=2.0, g0=0.125, n=2)
-    fit = fit_gap_constants([prob], np.geomspace(1e-3, 2.0 ** -0.125, 200))
-    rep_m = evaluate_bound(prob, s, gap_mode="measured", fit=fit)
-    rep_b = evaluate_bound(prob, s, gap_mode="bounded", fit=fit)
+    rep_m = evaluate_bound(prob, s, gap_mode="measured")
+    rep_b = evaluate_bound(prob, s, gap_mode="bounded")
     assert rep_b.total >= rep_m.total * (1 - 1e-9)
-    assert rep_m.constants["A_used"] == rep_b.constants["A_used"]
+    # Both A come from envelopes refined to within ENVELOPE_EPS of the same
+    # sampled minimum of Delta / Gamma^N, from different samples.
+    assert rep_m.constants["A_source"] == rep_b.constants["A_source"] == "envelope"
+    assert rep_m.constants["A_used"] == pytest.approx(
+        rep_b.constants["A_used"], rel=spectrum.ENVELOPE_EPS
+    )
 
 
 def test_tail_is_consistent_with_extended_quadrature():
@@ -136,10 +139,9 @@ def test_tail_is_consistent_with_extended_quadrature():
     prob = generate_random_problem(seed=7, n_spins=2)
     s = _sched(delta=1e-2, c=2.0, g0=0.125, n=2)
     T = 10.0 / 1e-2
-    fit = fit_gap_constants([prob], np.geomspace(1e-4, 1.0, 300))
     curve = build_gap_curve(prob, s, 2 * T)
-    rep_T = evaluate_bound(prob, s, t_max=T, fit=fit, curve=curve)
-    rep_2T = evaluate_bound(prob, s, t_max=2 * T, fit=fit, curve=curve)
+    rep_T = evaluate_bound(prob, s, t_max=T, curve=curve)
+    rep_2T = evaluate_bound(prob, s, t_max=2 * T, curve=curve)
     for attr in ("integral_second_deriv", "integral_first_deriv_sq"):
         quad_piece = getattr(rep_2T, attr) - getattr(rep_T, attr)
         tail_attr = attr.replace("integral", "tail")
@@ -197,11 +199,12 @@ def test_both_bound_forms_share_one_core(gap_mode):
 
 
 def test_measured_finite_time_rhs_runs_no_instance_gap_scan(monkeypatch):
-    # A enters only the bounded gap and evaluate_bound's tails and report.
+    # A enters only the bounded gap and evaluate_bound's tails and report, so
+    # the measured finite-time bound never refines an envelope for it.
     def no_scan(*args, **kwargs):
-        raise AssertionError("instance gap scan in measured finite-time bound")
+        raise AssertionError("A refinement in measured finite-time bound")
 
-    monkeypatch.setattr(bound, "instance_gap_constant", no_scan)
+    monkeypatch.setattr(spectrum.GapEnvelope, "gap_constant", no_scan)
     prob = generate_random_problem(seed=7, n_spins=2)
     s = _sched(delta=1e-2, c=2.0, g0=0.125, n=2)
     ft = finite_time_rhs(prob, s, [10.0, 100.0, 1000.0])
@@ -270,6 +273,12 @@ def test_report_constants_and_provenance():
     for key in ("A_used", "A_source", "L", "m", "g_min", "gap0", "gap_t_max"):
         assert key in rep.constants
     assert rep.constants["L"] == pytest.approx(0.125)
+    # A and the measured gap come from one envelope, which reports its size
+    # and how far it sits below its own samples.
+    assert rep.constants["A_source"] == "envelope"
+    assert rep.constants["envelope_samples"] > spectrum.GAP_CURVE_NODES
+    assert 0.0 <= rep.constants["envelope_slack"] <= spectrum.ENVELOPE_EPS
+    assert 0.0 <= rep.constants["A_slack"] <= spectrum.ENVELOPE_EPS
     assert rep.t_max == pytest.approx(10.0 / 1e-2)
     blob = json.dumps(rep.to_json())
     assert "samples" not in json.loads(blob)

@@ -135,6 +135,35 @@ def test_run_config_t_max_k_wins_unless_flag_given(tmp_path, problem_json):
     assert max_time(tmp_path / "flag", "--t-max-k", "2") == pytest.approx(20.0)
 
 
+@pytest.mark.parametrize(
+    "verb,artifact,keys",
+    [
+        ("evolve", "trajectory.json", ("integrator", "max_time")),
+        ("bound", "bound_report.json", ("t_max",)),
+    ],
+    ids=["evolve", "bound"],
+)
+def test_config_t_max_k_sets_the_horizon_unless_flag_given(
+    tmp_path, problem_json, verb, artifact, keys
+):
+    # As on run: a config t_max_k sets the horizon K/delta, --t-max-k overrides it.
+    cfg = _write(
+        tmp_path,
+        f"{verb}.json",
+        {"problem": problem_json, "schedule": _schedule_json(delta=0.1), "t_max_k": 3.0},
+    )
+
+    def horizon(out_dir, *flags):
+        assert main([verb, "--config", cfg, "--out", str(out_dir), *flags]) == 0
+        value = json.loads((out_dir / artifact).read_text())
+        for key in keys:
+            value = value[key]
+        return value
+
+    assert horizon(tmp_path / "config") == pytest.approx(30.0)
+    assert horizon(tmp_path / "flag", "--t-max-k", "2") == pytest.approx(20.0)
+
+
 def _run_config(problem, **extra):
     return {"problem": problem, "schedule": _schedule_json(delta=0.1), **extra}
 

@@ -7,7 +7,6 @@ import os
 import numpy as np
 import pytest
 
-import annealbound.bound as bound
 import annealbound.dynamics as dynamics
 import annealbound.experiment as experiment
 import annealbound.spectrum as spectrum
@@ -324,10 +323,11 @@ def test_gap_profile_csv_holds_the_gap_curves_samples(tmp_path):
 
 
 def test_measured_run_solves_each_gamma_once(tmp_path, monkeypatch):
-    gammas, curve_gammas, curves, grid_sizes, trajectories = [], [], [], [], []
+    gammas, curve_gammas, bound_gammas = [], [], []
+    curves, reports, trajectories = [], [], []
     solve = spectrum.diagonalize
     build_curve = experiment.build_gap_curve
-    scan_grid = bound.instance_gap_constant
+    run_bound = experiment.evaluate_bound
     run_evolve = experiment.evolve
 
     def counting_diagonalize(diag, gamma_value, *args, **kwargs):
@@ -340,9 +340,11 @@ def test_measured_run_solves_each_gamma_once(tmp_path, monkeypatch):
         curve_gammas.extend(gammas[first:])
         return curves[-1]
 
-    def count_grid(problem, grid):
-        grid_sizes.append(len(grid))
-        return scan_grid(problem, grid)
+    def keep_report(*args, **kwargs):
+        first = len(gammas)
+        reports.append(run_bound(*args, **kwargs))
+        bound_gammas.extend(gammas[first:])
+        return reports[-1]
 
     def keep_trajectory(*args, **kwargs):
         trajectories.append(run_evolve(*args, **kwargs))
@@ -351,15 +353,22 @@ def test_measured_run_solves_each_gamma_once(tmp_path, monkeypatch):
     monkeypatch.setattr(spectrum, "diagonalize", counting_diagonalize)
     monkeypatch.setattr(dynamics, "diagonalize", counting_diagonalize)
     monkeypatch.setattr(experiment, "build_gap_curve", keep_curve)
-    monkeypatch.setattr(bound, "instance_gap_constant", count_grid)
+    monkeypatch.setattr(experiment, "evaluate_bound", keep_report)
     monkeypatch.setattr(experiment, "evolve", keep_trajectory)
     manifest = run_experiment(ExperimentConfig(raw=_measured_config()), out_dir=str(tmp_path))
     assert manifest.all_ok
-    assert len(curves) == 1 and grid_sizes and len(trajectories) == 1
-    # the initial state, then one solve per trajectory row
+    assert len(curves) == len(reports) == len(trajectories) == 1
+    # The curve's solves; the bound's A refinement, one solve per envelope
+    # sample beyond Gamma = 0 and the curve's; evolve's initial state, then
+    # one solve per trajectory row.
+    assert len(curve_gammas) == curves[0].n_evaluations
+    envelope_samples = reports[0].constants["envelope_samples"]
+    assert len(bound_gammas) == envelope_samples - 1 - curves[0].n_evaluations
     assert len(gammas) == (
-        curves[0].n_evaluations + sum(grid_sizes) + 1 + trajectories[0].times.size
+        len(curve_gammas) + len(bound_gammas) + 1 + trajectories[0].times.size
     )
-    # no gap-curve node is solved twice (the bound's Gamma grid may share
-    # its top end, Gamma(0), with the curve's first node)
-    assert len(curve_gammas) == curves[0].n_evaluations == len(set(curve_gammas))
+    # Outside evolve's records no Gamma is solved twice: A reuses the curve's
+    # samples, Gamma(0) among them, and Gamma = 0 costs no solve.
+    outside = curve_gammas + bound_gammas
+    assert len(set(outside)) == len(outside)
+    assert 0.0 not in outside

@@ -14,6 +14,7 @@ from annealbound import (
     IsingProblem,
     Schedule,
     SizeCapError,
+    TabulatedG,
     ValidationError,
     build_diagonal,
     build_gap_curve,
@@ -232,18 +233,18 @@ def test_gap_profile_rejects_bad_grid():
 # ------------------------------------------------------------------ gap curves
 
 
-def test_gap_curve_matches_direct_diagonalization(rng):
+def test_gap_curve_is_a_lower_bound_within_its_slack(rng):
     prob = generate_random_problem(seed=9, n_spins=3)
     sched = Schedule(delta=1e-2, c=1.5, g=ConstantG(0.1), n_spins=3)
     t_max = 500.0
     curve = build_gap_curve(prob, sched, t_max)
-    diag = build_diagonal(prob)
     for t in rng.uniform(0.0, t_max, size=25):
-        direct = diagonalize(diag, sched.gamma(float(t)), want_vector=False).gap
-        assert curve(float(t)) == pytest.approx(direct, rel=1e-5)
+        vals = lowest_eigs(prob, sched.gamma(float(t)))
+        direct = vals[1] - vals[0]
+        assert (1 - 2 * spectrum.ENVELOPE_EPS) * direct <= curve(float(t)) <= direct
     assert curve.min_gap > 0
     assert 0.0 <= curve.t_min_gap <= t_max
-    assert curve(curve.t_min_gap) == pytest.approx(curve.min_gap, rel=1e-8)
+    assert curve(curve.t_min_gap) <= curve.min_gap
 
 
 def test_gap_curve_keeps_its_samples():
@@ -251,12 +252,18 @@ def test_gap_curve_keeps_its_samples():
     sched = Schedule(delta=1e-2, c=1.5, g=ConstantG(0.08), n_spins=4)
     curve = build_gap_curve(prob, sched, 800.0)
     ts = np.array([s.t for s in curve.snapshots])
-    assert len(curve.snapshots) == curve.x.size <= curve.n_evaluations
+    assert len(curve.snapshots) == spectrum.GAP_CURVE_NODES <= curve.n_evaluations
     assert ts[0] == 0.0 and ts[-1] == 800.0 and np.all(np.diff(ts) > 0)
-    assert np.allclose(np.log(sched.delta * ts + sched.c), curve.x, rtol=0.0, atol=1e-15)
-    assert np.array_equal([s.gap for s in curve.snapshots], curve.gaps)
     assert [s.gamma_value for s in curve.snapshots] == [sched.gamma(t) for t in ts]
     assert curve.t_min_gap in ts
+    # The envelope holds Gamma = 0 and every node, each gap lowered by the
+    # solver allowance, plus one sample per refinement solve.
+    env = curve.envelope
+    assert env.gammas[0] == 0.0 and np.all(np.diff(env.gammas) > 0)
+    assert env.gammas.size == 1 + curve.n_evaluations
+    at = np.searchsorted(env.gammas, [s.gamma_value for s in curve.snapshots])
+    lowered = np.array([s.gap for s in curve.snapshots]) - env.lows[at]
+    assert np.all(lowered > 0) and np.all(lowered < 1e-7)
 
 
 def test_gap_curve_range_check():
@@ -269,15 +276,66 @@ def test_gap_curve_range_check():
         curve(-1.0)
 
 
-def test_gap_curve_refinement_sits_near_true_minimum():
+def test_gap_curve_bounds_the_true_minimum_within_its_slack():
     prob = generate_random_problem(seed=21, n_spins=4)
     sched = Schedule(delta=1e-2, c=1.5, g=ConstantG(0.08), n_spins=4)
     curve = build_gap_curve(prob, sched, 800.0)
     diag = build_diagonal(prob)
     # Brute scan at 4x the curve's base resolution.
     ts = np.linspace(0.0, 800.0, 801)
-    gaps = [diagonalize(diag, sched.gamma(float(t)), want_vector=False).gap for t in ts]
-    assert curve.min_gap <= min(gaps) * (1 + 1e-6)
+    gaps = np.array([diagonalize(diag, sched.gamma(float(t)), want_vector=False).gap for t in ts])
+    floors = curve(ts)
+    assert np.all(floors <= gaps)
+    assert floors.min() >= (1 - 2 * spectrum.ENVELOPE_EPS) * gaps.min()
+    assert curve.min_gap <= gaps.min() * (1 + 1e-6)
+
+
+def test_gap_curve_stays_tight_where_gamma_dips_between_nodes():
+    # g rises and falls, so Gamma has an interior minimum between two nodes,
+    # below every node's Gamma: the curve reads the lowest node's cone there.
+    ts = np.linspace(0.0, 100.0, 11)
+    g = TabulatedG(tuple(ts), tuple(0.3 + 0.25 * np.sin(np.pi * ts / 100.0)))
+    sched = Schedule(delta=0.1, c=1.5, g=g, n_spins=3)
+    prob = generate_random_problem(seed=7, n_spins=3)
+    curve = build_gap_curve(prob, sched, 100.0)
+    fine = np.linspace(60.0, 67.0, 201)
+    gammas = sched.gamma(fine)
+    assert gammas.min() < min(s.gamma_value for s in curve.snapshots)
+    gaps = np.array([np.diff(lowest_eigs(prob, gam))[0] for gam in gammas])
+    assert np.all(curve(fine) <= gaps)
+    assert np.all(curve(fine) >= (1 - 2 * spectrum.ENVELOPE_EPS) * gaps)
+
+
+@settings(max_examples=20)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+    samples=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=5, unique=True),
+)
+def test_gap_envelope_never_exceeds_the_oracle_gap(n, seed, samples):
+    prob = generate_random_problem(seed=seed, n_spins=n)
+    diag = build_diagonal(prob)
+    try:
+        snaps = [diagonalize(diag, g, want_vector=False) for g in samples]
+        env = spectrum.gap_envelope(diag, snaps)
+        refined, a, _ = env.gap_constant(max(samples))
+    except GapAnomalyError:
+        return  # a near-degenerate draw
+    # A fine grid past the top sample, and both sides of every sample.
+    grid = np.concatenate([
+        np.linspace(0.0, 1.25 * max(samples), 200),
+        refined.gammas * (1 - 1e-9), refined.gammas * (1 + 1e-9),
+    ])
+    # oracles.lowest_eigs, with its Hamiltonian built once: it is affine in
+    # Gamma, H(g) = H(0) + g (H(1) - H(0)).
+    h0 = dense_hamiltonian(prob, 0.0)
+    h1 = dense_hamiltonian(prob, 1.0) - h0
+    vals = np.array([np.linalg.eigvalsh(h0 + g * h1)[:2] for g in grid])
+    oracle = vals[:, 1] - vals[:, 0]
+    assert np.all(env(grid) <= oracle)
+    assert np.all(refined(grid) <= oracle)
+    served = (grid > 0) & (grid <= max(samples))
+    assert a > 0 and np.all(a * grid[served] ** n <= oracle[served])
 
 
 # -------------------------------------------------------------- gap-bound fits
